@@ -20,7 +20,7 @@ from .grids import GridSpec
 from .parameters import ConstantRates
 from .steady import SteadyState, find_fixed_points
 from .thresholds import r0 as _r0
-from .transport import simulate, stable_timestep
+from .transport import auto_time_steps, simulate
 
 #: |B_general - B_quadratic| beyond this fails a constant-rate cross-check
 _CROSS_CHECK_TOL = 1e-8
@@ -74,8 +74,7 @@ def stability_probe(
         params = params.to_parameter_set()
     if grid is None:
         grid = _probe_grid(horizon)
-    gate = stable_timestep(params, grid)
-    n_time = max(2, int(np.ceil(grid.time_max / (0.9 * gate.dt_max))))
+    n_time = auto_time_steps(params, grid.age_max, grid.time_max, grid.n_age)
     grid = GridSpec(grid.age_max, grid.time_max, grid.n_age, n_time)
     nodes = grid.age_nodes()
 

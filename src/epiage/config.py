@@ -43,7 +43,7 @@ from .errors import ConfigError, ModelError
 from .grids import GridSpec
 from .parameters import ConstantRates, ParameterSet
 from .profiles import AgeProfile
-from .transport import stable_timestep
+from .transport import auto_time_steps
 
 _RATE_KEYS = ("mu", "beta", "phi", "gamma", "rho", "contact")
 _KNOWN_KEYS = {
@@ -53,7 +53,6 @@ _KNOWN_KEYS = {
     "output": {"stride", "directory"},
     "sweep": {"param", "values", "probe"},
 }
-_TIME_SAFETY = 0.9  # fraction of the largest stable dt used by time_steps=auto
 
 
 @dataclass(frozen=True)
@@ -228,9 +227,7 @@ def parse_config(text: str, base_dir=None) -> RunConfig:
         )
     steps_text, steps_line = gsec.get("time_steps", ("auto", 0))
     if steps_text == "auto":
-        probe = GridSpec(age_max, time_max, n_age, max(2, 10 ** 6))
-        gate = stable_timestep(params, probe)
-        n_time = max(2, int(np.ceil(time_max / (_TIME_SAFETY * gate.dt_max))))
+        n_time = auto_time_steps(params, age_max, time_max, n_age)
     else:
         try:
             n_time = int(steps_text)

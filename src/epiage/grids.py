@@ -67,6 +67,18 @@ def _simpson_weights(n_panels: int, h: float) -> np.ndarray:
     return w
 
 
+def cell_stages(nodes: np.ndarray) -> np.ndarray:
+    """Ages at the 4 cubic stage points {0, 1/3, 2/3, 1} of every cell.
+
+    Returns an (n_cells, 4) array; consecutive cells repeat their shared
+    endpoint.
+    """
+    left = nodes[:-1]
+    h = np.diff(nodes)
+    offsets = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
+    return left[:, None] + h[:, None] * offsets[None, :]
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Age nodes plus matching quadrature weights.
@@ -159,12 +171,4 @@ class QuadratureGrid:
         return QuadratureGrid(np.concatenate(nodes), weights, tuple(blocks))
 
     def cell_stages(self):
-        """Ages at the 4 cubic stage points {0, 1/3, 2/3, 1} of every cell.
-
-        Returns an (n_cells, 4) array; consecutive cells repeat their shared
-        endpoint.
-        """
-        left = self.nodes[:-1]
-        h = np.diff(self.nodes)
-        offsets = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-        return left[:, None] + h[:, None] * offsets[None, :]
+        return cell_stages(self.nodes)

@@ -1,7 +1,10 @@
 """CSV and report emission.
 
+Every CSV artifact goes through one table writer: a header row, then one
+row per record, fields separated by commas and lines ended by CRLF.
 Numbers are serialized with 17 significant digits so that re-reading a
-file reproduces the in-memory doubles bit-exactly.
+file reproduces the in-memory doubles bit-exactly; branch indices are
+integers and stability tags plain words, so no field is ever quoted.
 """
 
 from __future__ import annotations
@@ -11,12 +14,37 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ShapeError
 from .thresholds import ThresholdReport
 from .transport import StateField
 
 
+#: rows formatted per write call; bounds the temporary Python objects
+_BLOCK_ROWS = 8192
+
+
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _write_table(path, header, columns) -> Path:
+    """Write ``header`` and the rows of equal-length ``(values, format)`` columns.
+
+    Each format is a printf conversion: ``%.17g`` for floats, ``%d`` for
+    integers, ``%s`` for words.
+    """
+    path = Path(path)
+    arrays = [np.asarray(values) for values, _ in columns]
+    template = ",".join(spec for _, spec in columns) + "\r\n"
+    n_rows = len(arrays[0])
+    if any(len(array) != n_rows for array in arrays):
+        raise ShapeError(f"columns differ in length: {[len(a) for a in arrays]}")
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = [array[start : start + _BLOCK_ROWS].tolist() for array in arrays]
+            handle.write("".join(template % row for row in zip(*block)))
+    return path
 
 
 def write_report(path, report: ThresholdReport) -> Path:
@@ -32,38 +60,27 @@ def write_report(path, report: ThresholdReport) -> Path:
 
 
 def write_b_series(path, times, values) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "B"])
-        for t, b in zip(times, values):
-            writer.writerow([fmt(t), fmt(b)])
-    return path
+    return _write_table(path, ["t", "B"], [(times, "%.17g"), (values, "%.17g")])
 
 
 def write_trajectory(path, field: StateField) -> Path:
     """Long-format rows (t, a, s, i, r) for every stored time row."""
-    path = Path(path)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "a", "s", "i", "r"])
-        for row, t in enumerate(field.times):
-            for col, a in enumerate(field.ages):
-                writer.writerow(
-                    [
-                        fmt(t),
-                        fmt(a),
-                        fmt(field.s[row, col]),
-                        fmt(field.i[row, col]),
-                        fmt(field.r[row, col]),
-                    ]
-                )
-    return path
+    times, ages = np.asarray(field.times), np.asarray(field.ages)
+    return _write_table(
+        path,
+        ["t", "a", "s", "i", "r"],
+        [
+            (np.repeat(times, ages.size), "%.17g"),
+            (np.tile(ages, times.size), "%.17g"),
+            (np.ravel(field.s), "%.17g"),
+            (np.ravel(field.i), "%.17g"),
+            (np.ravel(field.r), "%.17g"),
+        ],
+    )
 
 
 def read_trajectory(path) -> StateField:
     """Inverse of write_trajectory (bit-exact for its own output)."""
-    times, ages = [], []
     values = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -90,35 +107,33 @@ def read_trajectory(path) -> StateField:
 
 
 def write_initial(path, ages, s0, i0, r0) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["a", "s0", "i0", "r0"])
-        for k, a in enumerate(ages):
-            writer.writerow([fmt(a), fmt(s0[k]), fmt(i0[k]), fmt(r0[k])])
-    return path
+    return _write_table(
+        path,
+        ["a", "s0", "i0", "r0"],
+        [(ages, "%.17g"), (s0, "%.17g"), (i0, "%.17g"), (r0, "%.17g")],
+    )
 
 
 def write_steady_states(path, states) -> Path:
     """Long-format steady profiles; one block of rows per branch."""
-    path = Path(path)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["branch", "b_star", "residual", "a", "s", "i", "r"])
-        for index, state in enumerate(states):
-            for k, a in enumerate(state.ages):
-                writer.writerow(
-                    [
-                        index,
-                        fmt(state.b_star),
-                        fmt(state.residual),
-                        fmt(a),
-                        fmt(state.s[k]),
-                        fmt(state.i[k]),
-                        fmt(state.r[k]),
-                    ]
-                )
-    return path
+    sizes = [state.ages.size for state in states]
+
+    def stacked(name):
+        return np.concatenate([np.empty(0)] + [getattr(state, name) for state in states])
+
+    return _write_table(
+        path,
+        ["branch", "b_star", "residual", "a", "s", "i", "r"],
+        [
+            (np.repeat(np.arange(len(states)), sizes), "%d"),
+            (np.repeat([state.b_star for state in states], sizes), "%.17g"),
+            (np.repeat([state.residual for state in states], sizes), "%.17g"),
+            (stacked("ages"), "%.17g"),
+            (stacked("s"), "%.17g"),
+            (stacked("i"), "%.17g"),
+            (stacked("r"), "%.17g"),
+        ],
+    )
 
 
 def write_diagram(path, rows, ages=None) -> Path:
@@ -128,32 +143,23 @@ def write_diagram(path, rows, ages=None) -> Path:
     infected profile sampled at ``ages`` (defaulting to each branch's own
     age grid; pass explicit ages to make rows comparable across kernels).
     """
-    path = Path(path)
-    sample_ages = None
+    branches = [branch for row in rows for branch in row.branches]
+    counts = [len(row.branches) for row in rows]
     if ages is not None:
         sample_ages = np.asarray(ages, dtype=float)
     else:
-        first_with_branch = next((row for row in rows if row.branches), None)
-        if first_with_branch is not None:
-            sample_ages = first_with_branch.branches[0].ages
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = ["swept_value", "r0", "branch_index", "b_star", "stability"]
-        if sample_ages is not None:
-            header += [f"i_star@{fmt(a)}" for a in sample_ages]
-        writer.writerow(header)
-        for row in rows:
-            for index, branch in enumerate(row.branches):
-                record = [
-                    fmt(row.swept_value),
-                    fmt(row.r0),
-                    index,
-                    fmt(branch.b_star),
-                    branch.stability,
-                ]
-                record += [
-                    fmt(v)
-                    for v in np.interp(sample_ages, branch.ages, branch.infected)
-                ]
-                writer.writerow(record)
-    return path
+        sample_ages = branches[0].ages if branches else np.empty(0)
+    profiles = np.array(
+        [np.interp(sample_ages, branch.ages, branch.infected) for branch in branches]
+    ).reshape(len(branches), sample_ages.size)
+    header = ["swept_value", "r0", "branch_index", "b_star", "stability"]
+    header += [f"i_star@{fmt(a)}" for a in sample_ages]
+    columns = [
+        (np.repeat([row.swept_value for row in rows], counts), "%.17g"),
+        (np.repeat([row.r0 for row in rows], counts), "%.17g"),
+        ([index for count in counts for index in range(count)], "%d"),
+        ([branch.b_star for branch in branches], "%.17g"),
+        ([branch.stability for branch in branches], "%s"),
+    ]
+    columns += [(profile, "%.17g") for profile in profiles.T]
+    return _write_table(path, header, columns)

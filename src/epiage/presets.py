@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from . import io
 from .config import InitialSpec, RunConfig
 from .demography import analysis_kernel
@@ -31,7 +29,7 @@ from .grids import GridSpec
 from .parameters import ConstantRates, ParameterSet
 from .steady import find_fixed_points
 from .thresholds import classify
-from .transport import simulate, stable_timestep
+from .transport import auto_time_steps, simulate
 
 _DRINKING = dict(mu=0.0125, phi=60.0, gamma=13.0, rho=76.65)
 
@@ -45,16 +43,11 @@ AGE_DEPENDENT_RATES = dict(
 )
 
 
-def _auto_time_steps(params, age_max, time_max, n_age, safety=0.9):
-    gate = stable_timestep(params, GridSpec(age_max, time_max, n_age, 10 ** 6))
-    return max(2, int(np.ceil(time_max / (safety * gate.dt_max))))
-
-
 def _constant_config(beta, age_max, da, initial, time_max=10.0):
     rates = ConstantRates(beta=beta, **_DRINKING)
     params = rates.to_parameter_set()
     n_age = round(age_max / da)
-    n_time = _auto_time_steps(params, age_max, time_max, n_age)
+    n_time = auto_time_steps(params, age_max, time_max, n_age)
     grid = GridSpec(age_max, time_max, n_age, n_time)
     # fine grids keep ~64 stored rows so trajectory files stay reviewable
     stride = "auto" if n_age <= 400 else max(1, n_time // 64)
@@ -72,7 +65,7 @@ def _agedep_config():
     params = ParameterSet(**{k: v for k, v in AGE_DEPENDENT_RATES.items()})
     age_max, da, time_max = 100.0, 0.25, 10.0
     n_age = round(age_max / da)
-    n_time = _auto_time_steps(params, age_max, time_max, n_age)
+    n_time = auto_time_steps(params, age_max, time_max, n_age)
     grid = GridSpec(age_max, time_max, n_age, n_time)
     initial = InitialSpec(kind="bump", amplitude=0.9, center=50.0, width=50.0)
     return RunConfig(params=params, rates=None, grid=grid, mixing="stationary", initial=initial)

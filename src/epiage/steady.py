@@ -22,6 +22,7 @@ import numpy as np
 from . import _sweep
 from .demography import DemographicKernel
 from .errors import DomainError, NumericsError, ParameterError, ToleranceError
+from .grids import cell_stages
 from .parameters import as_parameter_set
 from .thresholds import r0 as _r0
 
@@ -30,13 +31,6 @@ SMALL_PRESSURE = 1e-6
 
 _SCAN_POINTS = 512
 _MAX_BISECT = 200
-
-
-def _stage_points(ages: np.ndarray) -> np.ndarray:
-    left = ages[:-1]
-    h = np.diff(ages)
-    offsets = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-    return left[:, None] + h[:, None] * offsets[None, :]
 
 
 def _refined_ages(ages: np.ndarray, rate: float, target: float = 0.05):
@@ -99,7 +93,7 @@ class _SteadyData:
     def __init__(self, params, ages: np.ndarray):
         self.params = params
         self.ages = ages
-        stages = _stage_points(ages)
+        stages = cell_stages(ages)
         exit_pressure = params.exit_pressure()
         self.stage_exit = exit_pressure(stages)
         self.stage_cum_beta = params.beta.cumulative(stages)
@@ -109,25 +103,13 @@ class _SteadyData:
         self.exit_nodes = exit_pressure(ages)
         self.rho_nodes = params.rho(ages)
 
-    def susceptible(self, B):
-        B = np.asarray(B, dtype=float)
-        return np.exp(-B[..., None] * self.cum_beta) if B.ndim else np.exp(
-            -B * self.cum_beta
-        )
+    def susceptible(self, B: float):
+        return np.exp(-B * self.cum_beta)
 
-    def recovered(self, B):
-        """Batched over a leading B axis when B is an array."""
-        B = np.asarray(B, dtype=float)
-        if B.ndim:
-            g = self.stage_exit * -np.expm1(
-                -B[..., None, None] * self.stage_cum_beta
-            )
-            psi = self.cum_exit + B[..., None] * self.cum_rho
-            decay = self.exit_nodes + B[..., None] * self.rho_nodes
-        else:
-            g = self.stage_exit * -np.expm1(-B * self.stage_cum_beta)
-            psi = self.cum_exit + B * self.cum_rho
-            decay = self.exit_nodes + B * self.rho_nodes
+    def recovered(self, B: float):
+        g = self.stage_exit * -np.expm1(-B * self.stage_cum_beta)
+        psi = self.cum_exit + B * self.cum_rho
+        decay = self.exit_nodes + B * self.rho_nodes
         r = _sweep.exp_sweep(self.ages, psi, g, decay)
         return np.maximum(r, 0.0)
 
@@ -180,9 +162,6 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
     data = _SteadyData(params, kernel.ages)
     density = kernel.density
 
-    def pressure_batch(Bs):
-        return kernel.integrate(data.infected(Bs) * density)
-
     def excess(B):
         value = float(kernel.integrate(data.infected(float(B)) * density)) / B - 1.0
         if not np.isfinite(value):
@@ -190,10 +169,7 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
         return value
 
     probes = np.geomspace(SMALL_PRESSURE, 1.0, _SCAN_POINTS)
-    values = pressure_batch(probes) / probes - 1.0
-    if not np.all(np.isfinite(values)):
-        bad = probes[~np.isfinite(values)][0]
-        raise NumericsError(f"amplification is not finite at B = {bad!r}")
+    values = [excess(B) for B in probes]
 
     roots = []
     for k in range(len(probes) - 1):

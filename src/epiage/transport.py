@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demography import stationary_mixing, survival
+from .demography import stationary_mixing
 from .errors import ParameterError, ShapeError, TimeStepError
 from .grids import GridSpec, QuadratureGrid
 from .parameters import ParameterSet, as_parameter_set
@@ -64,6 +64,16 @@ def stable_timestep(params, grid: GridSpec) -> TimeStepReport:
     if dt * (1.0 / da + infection) > 1.0:
         reasons.append(f"positivity: dt (1/da + {infection:g}) > 1")
     return TimeStepReport(not reasons, dt_max, tuple(reasons))
+
+
+def auto_time_steps(params, age_max: float, time_max: float, n_age: int) -> int:
+    """Time steps over [0, time_max] at 0.9 of ``stable_timestep``'s dt_max.
+
+    This is what ``time_steps = auto`` means; dt_max depends on the age
+    grid and the rates, not on the number of time steps.
+    """
+    gate = stable_timestep(params, GridSpec(age_max, time_max, n_age, 2))
+    return max(2, int(np.ceil(time_max / (0.9 * gate.dt_max))))
 
 
 def force_of_infection(i_row, p_row, grid: GridSpec) -> float:

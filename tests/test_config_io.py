@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from epiage import (
+    Branch,
     ConfigError,
+    DiagramRow,
+    ShapeError,
     StateField,
+    SteadyState,
     cosine_bump,
     parse_config,
     render_config,
@@ -12,6 +16,7 @@ from epiage.io import (
     read_trajectory,
     write_b_series,
     write_diagram,
+    write_initial,
     write_report,
     write_steady_states,
     write_trajectory,
@@ -157,6 +162,88 @@ class TestCsvRoundTrip:
         )
         text = report_path.read_text()
         assert "bistable-candidate" in text and "4800" in text
+
+
+def test_every_writer_bytes(tmp_path):
+    """Exact bytes: header row, CRLF line ends, 17 significant digits."""
+    ages = np.array([0.0, 1.0 / 3.0])
+    path = write_initial(
+        tmp_path / "initial.csv", ages, [1.0, 1e-17], [0.0, -0.0], [0.5, 2.0 / 3.0]
+    )
+    assert path.read_bytes() == (
+        b"a,s0,i0,r0\r\n"
+        b"0,1,0,0.5\r\n"
+        b"0.33333333333333331,1.0000000000000001e-17,-0,0.66666666666666663\r\n"
+    )
+
+    field = StateField(
+        times=np.array([0.0, 0.5]),
+        ages=ages,
+        s=np.array([[1.0, 1e-17], [0.5, 0.25]]),
+        i=np.array([[0.0, -0.0], [1.0 / 3.0, 0.1]]),
+        r=np.array([[0.0, 2.0 / 3.0], [0.25, 0.5]]),
+    )
+    path = write_trajectory(tmp_path / "trajectory.csv", field)
+    assert path.read_bytes() == (
+        b"t,a,s,i,r\r\n"
+        b"0,0,1,0,0\r\n"
+        b"0,0.33333333333333331,1.0000000000000001e-17,-0,0.66666666666666663\r\n"
+        b"0.5,0,0.5,0.33333333333333331,0.25\r\n"
+        b"0.5,0.33333333333333331,0.25,0.10000000000000001,0.5\r\n"
+    )
+
+    path = write_b_series(tmp_path / "b_series.csv", [0.0, 0.5], [1e-17, 1.0 / 3.0])
+    assert path.read_bytes() == (
+        b"t,B\r\n"
+        b"0,1.0000000000000001e-17\r\n"
+        b"0.5,0.33333333333333331\r\n"
+    )
+
+    states = [
+        SteadyState(
+            1.0 / 3.0, ages, np.array([1.0, 0.5]), np.array([0.0, 0.25]),
+            np.array([0.0, 0.25]), -0.0,
+        ),
+        SteadyState(
+            0.5, ages, np.array([1.0, 1e-17]), np.array([0.0, 0.5]),
+            np.array([0.0, 0.5]), 1e-17,
+        ),
+    ]
+    path = write_steady_states(tmp_path / "steady_states.csv", states)
+    assert path.read_bytes() == (
+        b"branch,b_star,residual,a,s,i,r\r\n"
+        b"0,0.33333333333333331,-0,0,1,0,0\r\n"
+        b"0,0.33333333333333331,-0,0.33333333333333331,0.5,0.25,0.25\r\n"
+        b"1,0.5,1.0000000000000001e-17,0,1,0,0\r\n"
+        b"1,0.5,1.0000000000000001e-17,0.33333333333333331,1.0000000000000001e-17,"
+        b"0.5,0.5\r\n"
+    )
+
+    rows = [
+        DiagramRow(10.0, 0.5, ()),
+        DiagramRow(
+            60.0,
+            1.0 / 3.0,
+            (
+                Branch(0.1, ages, np.array([0.0, 0.5]), "unstable"),
+                Branch(0.5, ages, np.array([0.0, 2.0 / 3.0]), "stable"),
+            ),
+        ),
+    ]
+    path = write_diagram(tmp_path / "diagram.csv", rows)
+    assert path.read_bytes() == (
+        b"swept_value,r0,branch_index,b_star,stability,"
+        b"i_star@0,i_star@0.33333333333333331\r\n"
+        b"60,0.33333333333333331,0,0.10000000000000001,unstable,0,0.5\r\n"
+        b"60,0.33333333333333331,1,0.5,stable,0,0.66666666666666663\r\n"
+    )
+    path = write_diagram(tmp_path / "empty.csv", [])
+    assert path.read_bytes() == b"swept_value,r0,branch_index,b_star,stability\r\n"
+
+
+def test_unequal_columns_rejected(tmp_path):
+    with pytest.raises(ShapeError):
+        write_b_series(tmp_path / "b.csv", [0.0, 0.5, 1.0], [0.1, 0.2])
 
 
 class TestDiagramCsv:
