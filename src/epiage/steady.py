@@ -11,15 +11,25 @@ system into linear ODEs in age with known boundary values:
 its fixed points are the endemic states.  ``amplification`` is the ratio
 induced/assumed, continuously extended to B = 0 by the reproduction
 number, and endemic states are its unit crossings in (0, 1].
+
+``find_fixed_points`` locates the crossings in three steps: a coarse
+geometric scan of the excess amplification - 1 over [1e-9, 1]; Brent's
+minimiser at each scanned local maximum below 0 (and local minimum above
+0), which turns a root pair hidden inside one probe interval into two
+sign changes; and Chandrupatla's bracketed method at each sign change,
+which stops once |amplification - 1| <= tol.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _sweep
+from ._roots import bracketed_root
 from .demography import DemographicKernel
 from .errors import DomainError, NumericsError, ParameterError, ToleranceError
 from .grids import cell_stages
@@ -29,8 +39,13 @@ from .thresholds import r0 as _r0
 #: below this, amplification(B) returns the analytic B -> 0 limit
 SMALL_PRESSURE = 1e-6
 
-_SCAN_POINTS = 512
-_MAX_BISECT = 200
+#: the fixed-point scan starts here; roots below it are not found
+_SCAN_FLOOR = 1e-9
+_SCAN_POINTS = 48
+#: Brent's minimiser: relative position tolerance sqrt(eps), golden section
+_EXTREMUM_RTOL = math.sqrt(sys.float_info.epsilon)
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_MAX_EXTREMUM_STEPS = 100
 
 
 def _refined_ages(ages: np.ndarray, rate: float, target: float = 0.05):
@@ -113,8 +128,9 @@ class _SteadyData:
         r = _sweep.exp_sweep(self.ages, psi, g, decay)
         return np.maximum(r, 0.0)
 
-    def infected(self, B):
-        return 1.0 - self.susceptible(B) - self.recovered(B)
+    def infected(self, B: float, recovered: np.ndarray):
+        """i = 1 - s - r, with 1 - s from expm1 so that small B keeps its digits."""
+        return -np.expm1(-B * self.cum_beta) - recovered
 
 
 @dataclass(frozen=True)
@@ -137,7 +153,8 @@ def induced_pressure(B: float, params, kernel: DemographicKernel) -> float:
         return 0.0
     params = as_parameter_set(params)
     data = _SteadyData(params, kernel.ages)
-    return float(kernel.integrate(data.infected(B) * kernel.density))
+    infected = data.infected(B, data.recovered(B))
+    return float(kernel.integrate(infected * kernel.density))
 
 
 def amplification(B: float, params, kernel: DemographicKernel) -> float:
@@ -148,13 +165,78 @@ def amplification(B: float, params, kernel: DemographicKernel) -> float:
     return induced_pressure(B, params, kernel) / B
 
 
+def _extremum_crossing(h, points, values):
+    """First point where h <= 0 on Brent's descent from a bracketed minimum.
+
+    ``points`` a < x < b bracket a minimum of h (h(x) below h(a) and h(b),
+    all three positive).  Parabolic steps through the three best points,
+    golden-section steps where a parabola is unsafe (Brent 1973, ch. 5).
+    Returns (point, h(point)) as soon as h <= 0, or None once the minimum
+    is located to sqrt(eps) relative without h reaching 0; raises
+    ``ToleranceError`` if it is not located within the step limit.
+    """
+    (a, x, b), (fa, fx, fb) = points, values
+    # seed the parabola with the bracket ends, the lower one as runner-up
+    (w, fw), (v, fv) = sorted([(a, fa), (b, fb)], key=lambda pair: pair[1])
+    d = e = b - a
+    for _ in range(_MAX_EXTREMUM_STEPS):
+        middle = 0.5 * (a + b)
+        tol1 = _EXTREMUM_RTOL * abs(x)
+        if abs(x - middle) <= 2.0 * tol1 - 0.5 * (b - a):
+            return None
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if x + d - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                    d = math.copysign(tol1, middle - x)
+        if golden:
+            e = (a - x) if x >= middle else (b - x)
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = h(u)
+        if fu <= 0.0:
+            return u, fu
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    raise ToleranceError("extremum search of the excess did not converge", best=x)
+
+
 def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
     """All endemic pressures in (0, 1), with their steady profiles.
 
-    Scans the amplification on a log-dense set of probes (bistable
-    regimes have roots two orders of magnitude apart, so linear probing
-    misses the small one), brackets every unit crossing, and refines each
-    bracket by bisection until |amplification - 1| <= tol.
+    Scans the excess amplification - 1 on a coarse geometric set of
+    probes from 1e-9 to 1 (bistable regimes have roots orders of
+    magnitude apart, so linear probing misses the small one).  At every
+    interior probe where the scanned excess has a local maximum below 0
+    (or a local minimum above 0), Brent's minimiser searches the two
+    adjacent probe intervals for the extremum; when it finds the excess
+    across zero, that point splits the interval into two sign changes,
+    so a close root pair inside one probe interval is still found.  An
+    extremum that stays on its side of zero, however close, gives no root.
+    Every sign change is then refined by Chandrupatla's bracketed method
+    until |amplification - 1| <= tol.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -163,52 +245,41 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
     density = kernel.density
 
     def excess(B):
-        value = float(kernel.integrate(data.infected(float(B)) * density)) / B - 1.0
+        infected = data.infected(B, data.recovered(B))
+        value = float(kernel.integrate(infected * density)) / B - 1.0
         if not np.isfinite(value):
             raise NumericsError(f"amplification is not finite at B = {B!r}")
         return value
 
-    probes = np.geomspace(SMALL_PRESSURE, 1.0, _SCAN_POINTS)
+    probes = [float(B) for B in np.geomspace(_SCAN_FLOOR, 1.0, _SCAN_POINTS)]
     values = [excess(B) for B in probes]
+    samples = list(zip(probes, values))
+    for k in range(1, len(probes) - 1):
+        side = -1.0 if values[k] < 0.0 else 1.0
+        h = [side * value for value in values[k - 1 : k + 2]]
+        if 0.0 < h[1] < min(h[0], h[2]):
+            crossing = _extremum_crossing(
+                lambda B: side * excess(B), probes[k - 1 : k + 2], h
+            )
+            if crossing is not None:
+                samples.append((crossing[0], side * crossing[1]))
+    samples.sort()
 
     roots = []
-    for k in range(len(probes) - 1):
-        f_lo, f_hi = values[k], values[k + 1]
+    for (lo, f_lo), (hi, f_hi) in zip(samples, samples[1:]):
         if f_lo == 0.0:
-            roots.append((probes[k], 0.0))
-            continue
-        if f_lo * f_hi >= 0.0:
-            continue
-        lo, hi = probes[k], probes[k + 1]
-        g_lo = f_lo
-        root = None
-        for _ in range(_MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            f_mid = excess(mid)
-            if abs(f_mid) <= tol:
-                root = (mid, abs(f_mid))
-                break
-            if f_mid * g_lo > 0:
-                lo = mid
-                g_lo = f_mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * max(1.0, mid):
-                break
-        if root is None:
-            raise ToleranceError(
-                f"fixed-point bisection stalled above tol={tol:g}",
-                best=0.5 * (lo + hi),
-            )
-        roots.append(root)
-    if values[-1] == 0.0:
-        roots.append((probes[-1], 0.0))
+            roots.append((lo, 0.0))
+        elif f_lo * f_hi < 0.0:
+            b_star, f_star = bracketed_root(excess, lo, hi, f_lo, f_hi, tol, "fixed-point")
+            roots.append((b_star, abs(f_star)))
+    if samples[-1][1] == 0.0:
+        roots.append(samples[-1])
 
     states = []
-    for b_star, excess_value in sorted(roots):
+    for b_star, excess_value in roots:
         s = data.susceptible(b_star)
         r = data.recovered(b_star)
-        i = 1.0 - s - r
+        i = data.infected(b_star, r)
         states.append(
             SteadyState(
                 b_star=float(b_star),

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sweep
+from ._roots import bracketed_root
 from .demography import DemographicKernel, refine_kernel
 from .errors import NumericsError, ParameterError, ToleranceError
 from .parameters import as_parameter_set
@@ -106,10 +107,11 @@ def rc(params, kernel: DemographicKernel, rtol: float = 1e-8) -> float:
 def dominant_growth_rate(
     params, kernel: DemographicKernel, tol: float = 1e-8
 ) -> float:
-    """Unique real root of G(lam) = 1, by bisection on the monotone G.
+    """Unique real root of G(lam) = 1 of the monotone G, to |G - 1| <= tol.
 
     The initial bracket [-2 max(mu+phi+gamma), max beta] is grown
-    geometrically until it straddles the root.
+    geometrically until it straddles the root, which Chandrupatla's
+    bracketed method then refines.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -133,28 +135,22 @@ def dominant_growth_rate(
         raise NumericsError("beta vanishes identically; G has no root")
     lo = -2.0 * (params.mu.max_value() + params.exit_pressure().max_value())
     hi = params.beta.max_value()
-    while g(lo) <= 1.0:
+    g_lo = g(lo)
+    while g_lo <= 1.0:
         lo *= 2.0
         if abs(lo) > _BRACKET_LIMIT:
             raise NumericsError("bracket for the growth rate grew beyond 1e6/year")
-    while g(hi) >= 1.0:
+        g_lo = g(lo)
+    g_hi = g(hi)
+    while g_hi >= 1.0:
         hi *= 2.0
         if hi > _BRACKET_LIMIT:
             raise NumericsError("bracket for the growth rate grew beyond 1e6/year")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        value = g(mid)
-        if abs(value - 1.0) <= tol:
-            return mid
-        if value > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            break
-    raise ToleranceError(
-        f"growth-rate bisection stalled above tol={tol:g}", best=0.5 * (lo + hi)
+        g_hi = g(hi)
+    root, _ = bracketed_root(
+        lambda lam: g(lam) - 1.0, lo, hi, g_lo - 1.0, g_hi - 1.0, tol, "growth-rate"
     )
+    return root
 
 
 def classify(params, kernel: DemographicKernel, tol: float = 1e-8) -> ThresholdReport:

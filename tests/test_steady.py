@@ -15,7 +15,12 @@ from epiage import (
     recovered_profile,
     susceptible_profile,
 )
+from epiage import _sweep, steady
 from epiage.errors import DomainError
+
+
+def drinking_rates(beta):
+    return ConstantRates(mu=0.0125, beta=beta, phi=60.0, gamma=13.0, rho=76.65)
 
 
 class TestProfiles:
@@ -152,6 +157,39 @@ class TestFindFixedPoints:
         assert states[0].b_star == pytest.approx(
             fixed_points_exact(rates_endemic)[0], abs=1e-8
         )
+
+    def test_root_below_one_micro(self):
+        # R0 = 0.99983: the lower root sits at 5.9e-7, below the old 1e-6 floor
+        rates = drinking_rates(73.0)
+        states = find_fixed_points(rates, analysis_kernel(rates))
+        oracle = fixed_points_exact(rates)
+        assert oracle == pytest.approx([5.9057e-7, 0.0472841], rel=1e-4)
+        assert [state.b_star for state in states] == pytest.approx(oracle, abs=1e-8)
+
+    def test_root_pair_inside_one_probe_interval(self):
+        rates = drinking_rates(16.8037)
+        kernel = analysis_kernel(rates)
+        # the roots are 0.27% apart, so the coarse scan sees no sign change
+        # around them; only the refinement at the excess maximum finds them
+        tol = 1e-10
+        states = find_fixed_points(rates, kernel, tol=tol)
+        assert len(states) == 2
+        for state in states:
+            assert abs(amplification(state.b_star, rates, kernel) - 1.0) <= tol
+        assert states[0].b_star == pytest.approx(0.0233244, abs=1e-7)
+        assert states[1].b_star == pytest.approx(0.0233877, abs=1e-7)
+
+    def test_profile_sweeps_per_solve(self, rates_bistable, kernel_bistable, monkeypatch):
+        calls = []
+        sweep = _sweep.exp_sweep
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(steady._sweep, "exp_sweep", counted)
+        assert len(find_fixed_points(rates_bistable, kernel_bistable)) == 2
+        assert len(calls) <= 150
 
     def test_steady_state_invariants(self, rates_bistable, kernel_bistable):
         for state in find_fixed_points(rates_bistable, kernel_bistable):
