@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_forms import closed_form_profiles, fixed_points_exact, r0_rc_exact
+from .config import cosine_bump
 from .demography import analysis_kernel
 from .errors import ModelError, ParameterError
 from .grids import GridSpec
@@ -27,6 +28,9 @@ _CROSS_CHECK_TOL = 1e-8
 
 PROBE_EPSILON = 0.05
 PROBE_HORIZON = 5.0
+#: the probe simulates 0-200 years of age on 4000 cells of 0.05 years
+_PROBE_AGE_MAX = 200.0
+_PROBE_AGE_STEPS = 4000
 
 
 @dataclass(frozen=True)
@@ -45,25 +49,13 @@ class DiagramRow:
     error: str | None = None
 
 
-def _probe_grid(horizon: float) -> GridSpec:
-    age_max, da = 200.0, 0.05
-    n_age = round(age_max / da)
-    # placeholder n_time; refined per-parameter in stability_probe
-    return GridSpec(age_max, horizon, n_age, max(2, int(horizon / 0.004)))
-
-
-def stability_probe(
-    params,
-    steady: SteadyState,
-    grid: GridSpec | None = None,
-    epsilon: float = PROBE_EPSILON,
-    horizon: float = PROBE_HORIZON,
-) -> str:
+def stability_probe(params, steady: SteadyState, epsilon: float = PROBE_EPSILON) -> str:
     """Tag a steady state by perturb-and-resimulate.
 
     The infected profile is scaled by (1 +- epsilon) with the susceptible
     fraction absorbing the change; the state is stable when the pressure
-    ends within epsilon/2 of the fixed point for both signs.  The
+    ends within epsilon/2 of the fixed point for both signs after
+    ``PROBE_HORIZON`` years, on a 0.05-year grid over ages 0-200.  The
     infection-free state (b_star == 0) is probed with a small additive
     bump instead, and is stable when the induced pressure at the horizon
     has at least halved.
@@ -72,19 +64,14 @@ def stability_probe(
         raise ParameterError("epsilon must lie in (0, 0.1]")
     if isinstance(params, ConstantRates):
         params = params.to_parameter_set()
-    if grid is None:
-        grid = _probe_grid(horizon)
-    n_time = auto_time_steps(params, grid.age_max, grid.time_max, grid.n_age)
-    grid = GridSpec(grid.age_max, grid.time_max, grid.n_age, n_time)
+    n_time = auto_time_steps(params, _PROBE_AGE_MAX, PROBE_HORIZON, _PROBE_AGE_STEPS)
+    grid = GridSpec(_PROBE_AGE_MAX, PROBE_HORIZON, _PROBE_AGE_STEPS, n_time)
     nodes = grid.age_nodes()
 
     try:
         if steady.b_star == 0.0:
-            width = grid.age_max / 2.0
-            bump = np.zeros_like(nodes)
-            inside = np.abs(nodes - width) < width
-            bump[inside] = np.cos(np.pi * (nodes[inside] - width) / (2 * width)) ** 2
-            i0 = epsilon * bump
+            width = _PROBE_AGE_MAX / 2.0
+            i0 = cosine_bump(nodes, epsilon, width, width)
             traj = simulate(params, (1.0 - i0, i0, np.zeros_like(nodes)), grid)
             return "stable" if traj.b_series[-1] <= 0.5 * traj.b_series[0] else "unstable"
         band = 0.5 * epsilon * steady.b_star
@@ -115,7 +102,6 @@ def sweep(
     kernel=None,
     tol: float = 1e-10,
     probe: bool = False,
-    probe_grid: GridSpec | None = None,
     cross_check: bool = True,
 ):
     """Diagram rows for every swept value of one rate.
@@ -134,14 +120,14 @@ def sweep(
     for value in values:
         try:
             rows.append(
-                _sweep_row(base, param, value, kernel, tol, probe, probe_grid, cross_check)
+                _sweep_row(base, param, value, kernel, tol, probe, cross_check)
             )
         except ModelError as exc:
             rows.append(DiagramRow(value, float("nan"), (), error=str(exc)))
     return rows
 
 
-def _sweep_row(base, param, value, kernel, tol, probe, probe_grid, cross_check):
+def _sweep_row(base, param, value, kernel, tol, probe, cross_check):
     constant = isinstance(base, ConstantRates)
     if constant:
         rates = replace(base, **{param: value})
@@ -182,6 +168,6 @@ def _sweep_row(base, param, value, kernel, tol, probe, probe_grid, cross_check):
     for state in states:
         tag = "untested"
         if probe and error is None:
-            tag = stability_probe(params, state, probe_grid)
+            tag = stability_probe(params, state)
         branches.append(Branch(state.b_star, state.ages, state.i, tag))
     return DiagramRow(float(value), float(r0_value), tuple(branches), error)

@@ -1,12 +1,21 @@
 """Command-line interface.
 
-Subcommands::
+Subcommands and the files each writes into the output directory::
 
     epiage thresholds  --config run.ini --out outdir [--tol T]
-    epiage simulate    --config run.ini --out outdir
+        report.txt
+    epiage simulate    --config run.ini --out outdir [--tol T]
+        report.txt initial.csv trajectory.csv b_series.csv
     epiage steady      --config run.ini --out outdir [--tol T]
+        report.txt steady_states.csv
     epiage bifurcation --config run.ini --out outdir [--tol T]
+        diagram.csv
     epiage preset NAME --out outdir [--tol T]
+        report.txt initial.csv trajectory.csv b_series.csv steady_states.csv
+
+The files are written by the run phases of ``presets``; this module
+parses arguments, loads the config, chooses the output directory and
+prints a summary of what the phases computed.
 """
 
 from __future__ import annotations
@@ -15,17 +24,19 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import io
-from .bifurcation import sweep
 from .config import parse_config
-from .demography import analysis_kernel
 from .errors import ModelError
-from .presets import PRESETS, run_preset
-from .steady import find_fixed_points
-from .thresholds import classify
-from .transport import simulate
+from .presets import PRESETS, _diagram, _run, _simulation, _steady, _thresholds, run_preset
 
 _DEFAULT_TOL = 1e-10
+
+#: the run phases of each config subcommand, in order
+_PHASES = {
+    "thresholds": (_thresholds,),
+    "simulate": (_thresholds, _simulation),
+    "steady": (_thresholds, _steady),
+    "bifurcation": (_diagram,),
+}
 
 
 def _load(args):
@@ -79,81 +90,38 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "preset":
-        out = _outdir(args)
-        written = run_preset(args.name, out, tol=args.tol)
-        _announce(written)
+        _announce(run_preset(args.name, _outdir(args), tol=args.tol))
         return 0
-
     config = _load(args)
-    out = _outdir(args, config)
+    written = _run(config, _outdir(args, config), args.tol, _PHASES[args.command])
+    _announce(written)
+    _summarize(args.command, config, written)
+    return 0
 
-    if args.command == "thresholds":
-        kernel = analysis_kernel(config.params)
-        report = classify(config.params, kernel, tol=max(args.tol, 1e-9))
-        path = io.write_report(out / "report.txt", report)
-        print(f"wrote {path}")
+
+def _summarize(command, config, written):
+    if command == "thresholds":
+        report = written["_report"]
         print(
             f"R0 = {report.r0:.6g}  RC = {report.rc:.6g}  "
             f"growth = {report.growth_rate:.6g}/yr  region = {report.region}"
         )
-        return 0
-
-    if args.command == "simulate":
-        ages = config.grid.age_nodes()
-        s0, i0, r0 = config.initial.rows(ages)
-        trajectory = simulate(
-            config.params,
-            (s0, i0, r0),
-            config.grid,
-            mixing=config.mixing,
-            store=config.stride,
-        )
-        kernel = analysis_kernel(config.params)
-        report = classify(config.params, kernel, tol=max(args.tol, 1e-9))
-        print(f"wrote {io.write_report(out / 'report.txt', report)}")
-        print(f"wrote {io.write_initial(out / 'initial.csv', ages, s0, i0, r0)}")
-        print(f"wrote {io.write_trajectory(out / 'trajectory.csv', trajectory.field)}")
-        print(
-            f"wrote {io.write_b_series(out / 'b_series.csv', config.grid.time_nodes(), trajectory.b_series)}"
-        )
+    elif command == "simulate":
+        trajectory = written["_trajectory_object"]
         print(
             f"B(T) = {trajectory.b_series[-1]:.6g}; "
             f"max |s+i+r-1| = {trajectory.conservation_max:.3g}"
         )
-        return 0
-
-    if args.command == "steady":
-        kernel = analysis_kernel(config.params)
-        report = classify(config.params, kernel, tol=max(args.tol, 1e-9))
-        print(f"wrote {io.write_report(out / 'report.txt', report)}")
-        states = find_fixed_points(config.params, kernel, tol=args.tol)
-        path = io.write_steady_states(out / "steady_states.csv", states)
-        print(f"wrote {path}")
+    elif command == "steady":
+        states = written["_states"]
         for state in states:
             print(f"fixed point B* = {state.b_star:.10g} (residual {state.residual:.2g})")
         if not states:
             print("no endemic steady state in (0, 1)")
-        return 0
-
-    if args.command == "bifurcation":
-        if not config.sweep_param:
-            raise ModelError("config needs a [sweep] section for this command")
-        base = config.rates if config.rates is not None else config.params
-        rows = sweep(
-            base,
-            config.sweep_param,
-            sorted(config.sweep_values),
-            tol=args.tol,
-            probe=config.sweep_probe,
-        )
-        path = io.write_diagram(out / "diagram.csv", rows, ages=config.grid.age_nodes())
-        print(f"wrote {path}")
-        for row in rows:
+    elif command == "bifurcation":
+        for row in written["_rows"]:
             status = f"{len(row.branches)} branch(es)" if not row.error else row.error
             print(f"{config.sweep_param} = {row.swept_value:g}: R0 = {row.r0:.4g}, {status}")
-        return 0
-
-    raise ModelError(f"unknown command {args.command!r}")
 
 
 def _announce(written: dict):

@@ -1,12 +1,18 @@
-"""Named desk-scale experiments and their artifact emission.
+"""Named desk-scale experiments and the run phases that write artifacts.
 
-Every preset writes, into the chosen output directory:
+A run is a fixed list of phases over one configuration; each phase
+computes one stage of the pipeline and writes its files into the output
+directory:
 
-    report.txt          R0, RC, dominant growth rate, region
-    initial.csv         the initial fractions on the age grid
-    trajectory.csv      stored (t, a, s, i, r) rows
-    b_series.csv        the pressure at every time node
-    steady_states.csv   every endemic steady state of the preset's rates
+    thresholds      report.txt          R0, RC, dominant growth rate, region
+    simulation      initial.csv         the initial fractions on the age grid
+                    trajectory.csv      stored (t, a, s, i, r) rows
+                    b_series.csv        the pressure at every time node
+    steady states   steady_states.csv   every endemic steady state
+    sweep           diagram.csv         the bifurcation diagram of [sweep]
+
+``run_config`` (and so every preset) runs the first three; the CLI's
+config subcommands each run a fixed subset (see ``cli``).
 
 The three constant-rate regimes use the drinking-dynamics magnitudes
 (exit 0.0125, treatment 60, recovery 13, relapse 76.65 per year) with
@@ -19,17 +25,22 @@ relapse rate exceeds transmission over the older age groups.
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
 
 from . import io
+from .bifurcation import sweep
 from .config import InitialSpec, RunConfig
 from .demography import analysis_kernel
-from .errors import ParameterError
+from .errors import ModelError, ParameterError
 from .grids import GridSpec
-from .parameters import ConstantRates, ParameterSet
+from .parameters import ConstantRates, ParameterSet, as_parameter_set
 from .steady import find_fixed_points
 from .thresholds import classify
 from .transport import auto_time_steps, simulate
+
+#: the growth-rate equation is solved to max(tol, this)
+_GROWTH_TOL_FLOOR = 1e-9
 
 _DRINKING = dict(mu=0.0125, phi=60.0, gamma=13.0, rho=76.65)
 
@@ -43,88 +54,72 @@ AGE_DEPENDENT_RATES = dict(
 )
 
 
-def _constant_config(beta, age_max, da, initial, time_max=10.0):
-    rates = ConstantRates(beta=beta, **_DRINKING)
-    params = rates.to_parameter_set()
+def _config(rates, age_max, da, amplitude, center, width, time_max=10.0):
+    """Stationary-mixing run of ``rates`` from a cos^2 bump of infection."""
+    params = as_parameter_set(rates)
     n_age = round(age_max / da)
     n_time = auto_time_steps(params, age_max, time_max, n_age)
-    grid = GridSpec(age_max, time_max, n_age, n_time)
     # fine grids keep ~64 stored rows so trajectory files stay reviewable
     stride = "auto" if n_age <= 400 else max(1, n_time // 64)
     return RunConfig(
         params=params,
-        rates=rates,
-        grid=grid,
+        rates=rates if isinstance(rates, ConstantRates) else None,
+        grid=GridSpec(age_max, time_max, n_age, n_time),
         mixing="stationary",
-        initial=initial,
+        initial=InitialSpec(kind="bump", amplitude=amplitude, center=center, width=width),
         stride=stride,
     )
-
-
-def _agedep_config():
-    params = ParameterSet(**{k: v for k, v in AGE_DEPENDENT_RATES.items()})
-    age_max, da, time_max = 100.0, 0.25, 10.0
-    n_age = round(age_max / da)
-    n_time = auto_time_steps(params, age_max, time_max, n_age)
-    grid = GridSpec(age_max, time_max, n_age, n_time)
-    initial = InitialSpec(kind="bump", amplitude=0.9, center=50.0, width=50.0)
-    return RunConfig(params=params, rates=None, grid=grid, mixing="stationary", initial=initial)
 
 
 def preset_config(name: str) -> RunConfig:
     """Configuration of a named preset (see PRESETS for the names)."""
     if name == "extinction":
-        return _constant_config(
-            beta=0.011,
-            age_max=100.0,
-            da=0.5,
-            initial=InitialSpec(kind="bump", amplitude=0.5, center=20.0, width=5.0),
-        )
+        return _config(ConstantRates(beta=0.011, **_DRINKING), 100.0, 0.5, 0.5, 20.0, 5.0)
     if name == "bistable-high":
-        return _constant_config(
-            beta=60.0,
-            age_max=200.0,
-            da=0.05,
-            initial=InitialSpec(kind="bump", amplitude=0.9, center=50.0, width=50.0),
-        )
+        return _config(ConstantRates(beta=60.0, **_DRINKING), 200.0, 0.05, 0.9, 50.0, 50.0)
     if name == "bistable-low":
-        return _constant_config(
-            beta=60.0,
-            age_max=200.0,
-            da=0.05,
-            initial=InitialSpec(
-                kind="bump", amplitude=0.9e-3, center=50.0, width=50.0
-            ),
-        )
+        return _config(ConstantRates(beta=60.0, **_DRINKING), 200.0, 0.05, 0.9e-3, 50.0, 50.0)
     if name == "endemic":
-        return _constant_config(
-            beta=120.0,
-            age_max=200.0,
-            da=0.05,
-            initial=InitialSpec(kind="bump", amplitude=0.5, center=20.0, width=5.0),
-        )
+        return _config(ConstantRates(beta=120.0, **_DRINKING), 200.0, 0.05, 0.5, 20.0, 5.0)
     if name == "agedep":
-        return _agedep_config()
+        return _config(ParameterSet(**AGE_DEPENDENT_RATES), 100.0, 0.25, 0.9, 50.0, 50.0)
     raise ParameterError(f"unknown preset {name!r}; choose one of {sorted(PRESETS)}")
 
 
 PRESETS = ("extinction", "bistable-high", "bistable-low", "endemic", "agedep")
 
 
-def run_config(config: RunConfig, out_dir, tol: float = 1e-10) -> dict:
-    """Execute a full run (thresholds, simulation, steady states) to disk."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = {}
+class _Run:
+    """What the phases of one run share.
 
-    kernel = analysis_kernel(config.params)
-    report = classify(config.params, kernel, tol=max(tol, 1e-9))
-    written["report"] = io.write_report(out / "report.txt", report)
+    ``written`` maps each artifact to its path, and ``_report``,
+    ``_trajectory_object``, ``_states`` and ``_rows`` to the objects the
+    phases computed; the analysis kernel is built once, on first use.
+    """
 
+    def __init__(self, config: RunConfig, out_dir, tol: float):
+        self.config = config
+        self.tol = tol
+        self.out = Path(out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.written = {}
+
+    @cached_property
+    def kernel(self):
+        return analysis_kernel(self.config.params)
+
+
+def _thresholds(run: _Run):
+    report = classify(run.config.params, run.kernel, tol=max(run.tol, _GROWTH_TOL_FLOOR))
+    run.written["report"] = io.write_report(run.out / "report.txt", report)
+    run.written["_report"] = report
+
+
+def _simulation(run: _Run):
+    config = run.config
     ages = config.grid.age_nodes()
     s0, i0, r0 = config.initial.rows(ages)
-    written["initial"] = io.write_initial(out / "initial.csv", ages, s0, i0, r0)
-
+    run.written["initial"] = io.write_initial(run.out / "initial.csv", ages, s0, i0, r0)
     trajectory = simulate(
         config.params,
         (s0, i0, r0),
@@ -132,19 +127,51 @@ def run_config(config: RunConfig, out_dir, tol: float = 1e-10) -> dict:
         mixing=config.mixing,
         store=config.stride,
     )
-    written["trajectory"] = io.write_trajectory(out / "trajectory.csv", trajectory.field)
-    written["b_series"] = io.write_b_series(
-        out / "b_series.csv", config.grid.time_nodes(), trajectory.b_series
+    run.written["trajectory"] = io.write_trajectory(
+        run.out / "trajectory.csv", trajectory.field
     )
+    run.written["b_series"] = io.write_b_series(
+        run.out / "b_series.csv", config.grid.time_nodes(), trajectory.b_series
+    )
+    run.written["_trajectory_object"] = trajectory
 
-    states = find_fixed_points(config.params, kernel, tol=tol)
-    written["steady_states"] = io.write_steady_states(
-        out / "steady_states.csv", states
+
+def _steady(run: _Run):
+    states = find_fixed_points(run.config.params, run.kernel, tol=run.tol)
+    run.written["steady_states"] = io.write_steady_states(
+        run.out / "steady_states.csv", states
     )
-    written["_trajectory_object"] = trajectory
-    written["_states"] = states
-    written["_report"] = report
-    return written
+    run.written["_states"] = states
+
+
+def _diagram(run: _Run):
+    config = run.config
+    if not config.sweep_param:
+        raise ModelError("config needs a [sweep] section for this command")
+    rows = sweep(
+        config.rates if config.rates is not None else config.params,
+        config.sweep_param,
+        sorted(config.sweep_values),
+        tol=run.tol,
+        probe=config.sweep_probe,
+    )
+    run.written["diagram"] = io.write_diagram(
+        run.out / "diagram.csv", rows, ages=config.grid.age_nodes()
+    )
+    run.written["_rows"] = rows
+
+
+def _run(config: RunConfig, out_dir, tol: float, phases) -> dict:
+    """Run ``phases`` in order on one config; returns their ``written`` map."""
+    run = _Run(config, out_dir, tol)
+    for phase in phases:
+        phase(run)
+    return run.written
+
+
+def run_config(config: RunConfig, out_dir, tol: float = 1e-10) -> dict:
+    """Execute a full run (thresholds, simulation, steady states) to disk."""
+    return _run(config, out_dir, tol, (_thresholds, _simulation, _steady))
 
 
 def run_preset(name: str, out_dir, tol: float = 1e-10) -> dict:

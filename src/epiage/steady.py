@@ -75,6 +75,18 @@ def susceptible_profile(B: float, params, ages) -> np.ndarray:
     return np.exp(-B * params.beta.cumulative(ages))
 
 
+def _refined_data(B: float, params, ages):
+    """Profile data on ``ages`` refined for pressure B, and the original ages' indices."""
+    if B < 0:
+        raise DomainError("B must be >= 0")
+    params = as_parameter_set(params)
+    ages = np.asarray(ages, dtype=float)
+    if ages.size == 0 or ages[0] != 0.0:
+        raise DomainError("ages must start at 0 (boundary r(0) = 0)")
+    refined, index = _refined_ages(ages, B * params.beta.max_value())
+    return _SteadyData(params, refined), index
+
+
 def recovered_profile(B: float, params, ages) -> np.ndarray:
     """Temporarily recovered fraction of the frozen-pressure steady system.
 
@@ -84,22 +96,15 @@ def recovered_profile(B: float, params, ages) -> np.ndarray:
     fast compared to the spacing of ``ages``).  ``ages`` must start at 0
     where r vanishes.
     """
-    if B < 0:
-        raise DomainError("B must be >= 0")
-    params = as_parameter_set(params)
-    ages = np.asarray(ages, dtype=float)
-    if ages.size == 0 or ages[0] != 0.0:
-        raise DomainError("ages must start at 0 (boundary r(0) = 0)")
-    refined, index = _refined_ages(ages, B * params.beta.max_value())
-    data = _SteadyData(params, refined)
+    data, index = _refined_data(B, params, ages)
     return data.recovered(B)[index]
 
 
 def infected_profile(B: float, params, ages) -> np.ndarray:
-    params = as_parameter_set(params)
-    ages = np.asarray(ages, dtype=float)
-    s = susceptible_profile(B, params, ages)
-    return 1.0 - s - recovered_profile(B, params, ages)
+    """Infected fraction of the frozen-pressure steady system, on the
+    refined sub-grid of ``recovered_profile``."""
+    data, index = _refined_data(B, params, ages)
+    return data.infected(B, data.recovered(B))[index]
 
 
 class _SteadyData:
@@ -132,6 +137,11 @@ class _SteadyData:
         """i = 1 - s - r, with 1 - s from expm1 so that small B keeps its digits."""
         return -np.expm1(-B * self.cum_beta) - recovered
 
+    def pressure(self, B: float, kernel: DemographicKernel) -> float:
+        """Pressure induced under B; ``kernel`` is on the same ages."""
+        infected = self.infected(B, self.recovered(B))
+        return float(kernel.integrate(infected * kernel.density))
+
 
 @dataclass(frozen=True)
 class SteadyState:
@@ -151,10 +161,7 @@ def induced_pressure(B: float, params, kernel: DemographicKernel) -> float:
         raise DomainError("B must be >= 0")
     if B == 0:
         return 0.0
-    params = as_parameter_set(params)
-    data = _SteadyData(params, kernel.ages)
-    infected = data.infected(B, data.recovered(B))
-    return float(kernel.integrate(infected * kernel.density))
+    return _SteadyData(as_parameter_set(params), kernel.ages).pressure(B, kernel)
 
 
 def amplification(B: float, params, kernel: DemographicKernel) -> float:
@@ -242,11 +249,9 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
         raise ParameterError("tol must be positive")
     params = as_parameter_set(params)
     data = _SteadyData(params, kernel.ages)
-    density = kernel.density
 
     def excess(B):
-        infected = data.infected(B, data.recovered(B))
-        value = float(kernel.integrate(infected * density)) / B - 1.0
+        value = data.pressure(B, kernel) / B - 1.0
         if not np.isfinite(value):
             raise NumericsError(f"amplification is not finite at B = {B!r}")
         return value

@@ -1,7 +1,10 @@
 import pytest
 
+from epiage.bifurcation import sweep
 from epiage.cli import main
-from epiage.io import read_trajectory
+from epiage.config import parse_config
+from epiage.io import read_trajectory, write_diagram
+from epiage.presets import run_config
 
 CONFIG = """
 [parameters]
@@ -109,3 +112,69 @@ def test_bad_config_reports_line(config_path, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "line" in err
+
+
+#: the files each config subcommand writes
+SUBCOMMAND_FILES = {
+    "thresholds": {"report.txt"},
+    "simulate": {"report.txt", "initial.csv", "trajectory.csv", "b_series.csv"},
+    "steady": {"report.txt", "steady_states.csv"},
+    "bifurcation": {"diagram.csv"},
+}
+
+#: stdout of each config subcommand on CONFIG, output directory written as OUT
+SUBCOMMAND_STDOUT = {
+    "thresholds": [
+        "wrote OUT/report.txt",
+        "R0 = 0.821777  RC = 4799.93  growth = -13.0125/yr  region = bistable-candidate",
+    ],
+    "simulate": [
+        "wrote OUT/report.txt",
+        "wrote OUT/initial.csv",
+        "wrote OUT/trajectory.csv",
+        "wrote OUT/b_series.csv",
+        "B(T) = 0.000111972; max |s+i+r-1| = 6.66e-16",
+    ],
+    "steady": [
+        "wrote OUT/report.txt",
+        "wrote OUT/steady_states.csv",
+        "fixed point B* = 0.0007608131992 (residual 4.5e-14)",
+        "fixed point B* = 0.04648682198 (residual 1e-13)",
+    ],
+    "bifurcation": [
+        "wrote OUT/diagram.csv",
+        "beta = 0.011: R0 = 0.0001507, 0 branch(es)",
+        "beta = 60: R0 = 0.8218, 2 branch(es)",
+        "beta = 120: R0 = 1.644, 1 branch(es)",
+    ],
+}
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["plain", "probe"])
+def library_run(request, tmp_path_factory):
+    """CONFIG (with ``probe = true`` for the probe case) run through the library."""
+    text = CONFIG + ("probe = true\n" if request.param else "")
+    config = parse_config(text)
+    out = tmp_path_factory.mktemp("library")
+    run_config(config, out, tol=1e-10)
+    rows = sweep(
+        config.rates, config.sweep_param, sorted(config.sweep_values),
+        tol=1e-10, probe=config.sweep_probe,
+    )
+    write_diagram(out / "diagram.csv", rows, ages=config.grid.age_nodes())
+    return text, out
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FILES))
+def test_subcommand_matches_library_run(command, library_run, tmp_path, capsys):
+    text, reference = library_run
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 0
+    written = {path.name for path in out.iterdir()}
+    assert written == SUBCOMMAND_FILES[command]
+    for name in written:
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+    lines = capsys.readouterr().out.replace(str(out), "OUT").splitlines()
+    assert lines == SUBCOMMAND_STDOUT[command]
