@@ -64,10 +64,8 @@ from .transport import (
     StateField,
     TimeStepReport,
     Trajectory,
-    force_of_infection,
     simulate,
     stable_timestep,
-    step,
 )
 
 __version__ = "0.1.0"

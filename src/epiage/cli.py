@@ -48,13 +48,10 @@ def _load(args):
 
 def _outdir(args, config=None):
     if args.out:
-        out = Path(args.out)
-    elif config is not None and config.directory:
-        out = Path(config.directory)
-    else:
-        out = Path("runs") / args.command
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return Path(args.out)
+    if config is not None and config.directory:
+        return Path(config.directory)
+    return Path("runs") / args.command
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,6 @@ two-column age,value file.  Example::
     time_max = 10
     age_steps = 4000
     time_steps = auto
-    mixing = stationary
 
     [initial]
     kind = bump
@@ -48,7 +47,7 @@ from .transport import auto_time_steps
 _RATE_KEYS = ("mu", "beta", "phi", "gamma", "rho", "contact")
 _KNOWN_KEYS = {
     "parameters": set(_RATE_KEYS) | {"birth_rate"},
-    "grid": {"age_max", "time_max", "age_steps", "time_steps", "mixing"},
+    "grid": {"age_max", "time_max", "age_steps", "time_steps"},
     "initial": {"kind", "amplitude", "center", "width", "i0", "r0"},
     "output": {"stride", "directory"},
     "sweep": {"param", "values", "probe"},
@@ -103,7 +102,6 @@ class RunConfig:
     params: ParameterSet
     rates: ConstantRates | None  # set when every rate is constant
     grid: GridSpec
-    mixing: str
     initial: InitialSpec
     stride: str | int = "auto"
     directory: str | None = None
@@ -219,12 +217,6 @@ def parse_config(text: str, base_dir=None) -> RunConfig:
         n_age = int(n_age_text)
     except ValueError:
         raise ConfigError("age_steps must be an integer", n_age_line) from None
-    mixing = gsec.get("mixing", ("stationary", 0))[0]
-    if mixing not in ("stationary", "full"):
-        raise ConfigError(
-            f"mixing must be stationary or full, got {mixing!r}",
-            gsec.get("mixing", (None, 0))[1],
-        )
     steps_text, steps_line = gsec.get("time_steps", ("auto", 0))
     if steps_text == "auto":
         n_time = auto_time_steps(params, age_max, time_max, n_age)
@@ -276,7 +268,6 @@ def parse_config(text: str, base_dir=None) -> RunConfig:
         params=params,
         rates=rates,
         grid=grid,
-        mixing=mixing,
         initial=initial,
         stride=stride,
         directory=directory,
@@ -327,7 +318,7 @@ def _parse_initial(section, base_dir):
 def _validate_initial(config: RunConfig):
     ages = config.grid.age_nodes()
     s0, i0, r0 = config.initial.rows(ages)
-    if i0[0] > 1e-12 or r0[0] > 1e-12:
+    if i0[0] != 0.0 or r0[0] != 0.0:
         raise ConfigError("initial i0(0) and r0(0) must vanish (inflow boundary)")
     if s0.min() < -1e-13:
         raise ConfigError("initial fractions exceed 1 somewhere (s0 < 0)")
@@ -354,7 +345,6 @@ def render_config(config: RunConfig) -> str:
         f"time_max = {config.grid.time_max:.17g}",
         f"age_steps = {config.grid.n_age}",
         f"time_steps = {config.grid.n_time}",
-        f"mixing = {config.mixing}",
         "",
         "[initial]",
         f"kind = {config.initial.kind}",

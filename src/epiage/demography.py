@@ -41,11 +41,10 @@ def total_population(params: ParameterSet, n0, t: float, a):
         raise DomainError("time must be >= 0")
     n0 = as_profile(n0)
     a_arr = np.asarray(a, dtype=float)
-    inflow = params.birth_rate * survival(params, a_arr)
+    cum_mu = params.mu.cumulative(a_arr)
+    inflow = params.birth_rate * np.exp(-cum_mu)
     a_shift = np.maximum(a_arr - t, 0.0)
-    carried = n0(a_shift) * np.exp(
-        -(params.mu.cumulative(a_arr) - params.mu.cumulative(a_shift))
-    )
+    carried = n0(a_shift) * np.exp(-(cum_mu - params.mu.cumulative(a_shift)))
     out = np.where(t >= a_arr, inflow, carried)
     return float(out) if np.isscalar(a) or a_arr.ndim == 0 else out
 

@@ -65,7 +65,6 @@ def _config(rates, age_max, da, amplitude, center, width, time_max=10.0):
         params=params,
         rates=rates if isinstance(rates, ConstantRates) else None,
         grid=GridSpec(age_max, time_max, n_age, n_time),
-        mixing="stationary",
         initial=InitialSpec(kind="bump", amplitude=amplitude, center=center, width=width),
         stride=stride,
     )
@@ -120,13 +119,7 @@ def _simulation(run: _Run):
     ages = config.grid.age_nodes()
     s0, i0, r0 = config.initial.rows(ages)
     run.written["initial"] = io.write_initial(run.out / "initial.csv", ages, s0, i0, r0)
-    trajectory = simulate(
-        config.params,
-        (s0, i0, r0),
-        config.grid,
-        mixing=config.mixing,
-        store=config.stride,
-    )
+    trajectory = simulate(config.params, (s0, i0, r0), config.grid, store=config.stride)
     run.written["trajectory"] = io.write_trajectory(
         run.out / "trajectory.csv", trajectory.field
     )

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demography import stationary_mixing
+from .demography import stationary_mixing, total_population
 from .errors import ParameterError, ShapeError, TimeStepError
 from .grids import GridSpec, QuadratureGrid
-from .parameters import ParameterSet, as_parameter_set
-from .profiles import as_profile
+from .parameters import as_parameter_set
 
 #: abort threshold for the positivity monitor (well below the invariant's
 #: roundoff allowance, so only genuine blow-ups trip it)
@@ -76,38 +75,6 @@ def auto_time_steps(params, age_max: float, time_max: float, n_age: int) -> int:
     return max(2, int(np.ceil(time_max / (0.9 * gate.dt_max))))
 
 
-def force_of_infection(i_row, p_row, grid: GridSpec) -> float:
-    """Quadrature of i * p over age on the grid rows (Simpson, trapezoid
-    fallback when the panel count is odd)."""
-    i_row = np.asarray(i_row, dtype=float)
-    p_row = np.asarray(p_row, dtype=float)
-    if i_row.shape != p_row.shape:
-        raise ShapeError("i and p rows must share a shape")
-    quad = QuadratureGrid.uniform(grid.age_max, grid.n_age)
-    return float(quad.integrate(i_row * p_row))
-
-
-def step(row, B: float, params, grid: GridSpec):
-    """One explicit update of (s, i, r) given the current pressure B.
-
-    The boundary node k = 0 keeps (1, 0, 0); callers must have set it.
-    """
-    params = as_parameter_set(params)
-    s, i, r = (np.asarray(x, dtype=float) for x in row)
-    nodes = grid.age_nodes()
-    if s.shape != nodes.shape:
-        raise ShapeError("row length must match the age grid")
-    rates = _node_rates(params, nodes)
-    return _step_arrays(s, i, r, B, grid.dt, grid.da, *rates)
-
-
-def _node_rates(params: ParameterSet, nodes: np.ndarray):
-    beta = params.beta(nodes)
-    exit_pressure = params.phi(nodes) + params.gamma(nodes)
-    rho = params.rho(nodes)
-    return beta, exit_pressure, rho
-
-
 def _step_arrays(s, i, r, B, dt, da, beta, exit_pressure, rho):
     infection = beta[1:] * s[1:] * B
     recovery = exit_pressure[1:] * i[1:]
@@ -145,7 +112,6 @@ class Trajectory:
     """
 
     grid: GridSpec
-    mixing: str
     field: StateField
     b_series: np.ndarray
     conservation_max: float
@@ -156,40 +122,17 @@ class Trajectory:
         return self.field.s[-1], self.field.i[-1], self.field.r[-1]
 
 
-def _initial_rows(initial, nodes):
-    s0, i0, r0 = initial
-    rows = []
-    for x in (s0, i0, r0):
-        if np.isscalar(x):
-            rows.append(np.full(nodes.shape, float(x)))
-        elif callable(x):
-            rows.append(np.asarray(x(nodes), dtype=float))
-        else:
-            arr = np.asarray(x, dtype=float)
-            if arr.shape != nodes.shape:
-                raise ShapeError("initial rows must match the age grid")
-            rows.append(arr.copy())
-    return rows
-
-
-def simulate(
-    params,
-    initial,
-    grid: GridSpec,
-    mixing: str = "stationary",
-    n0=None,
-    store: str | int = "auto",
-) -> Trajectory:
+def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajectory:
     """Run the upwind scheme over the full (t, a) rectangle.
 
-    initial: (s0, i0, r0) as arrays on the age nodes, profiles, or scalars;
-        must sum to 1 pointwise with i0(0) = r0(0) = 0.
-    mixing: "stationary" weights the pressure with the stationary density
-        (valid when the population starts at demographic steady state);
-        "full" rebuilds the density every step from the total population
-        carried along characteristics (n0 defaults to birth_rate * survival).
-    store: "auto", "full", or a stride int controlling rows kept
-        (the final row and every monitor are always exact).
+    initial: (s0, i0, r0) as arrays on the age nodes; must sum to 1
+        pointwise with i0(0) = r0(0) = 0.
+    n0: the initial total population.  None weights the pressure with the
+        stationary mixing density (the population starts at demographic
+        steady state); a profile rebuilds the density every step from
+        ``total_population(params, n0, t, ages)``.
+    store: "auto" or a stride int controlling rows kept ("full" is the
+        same as 1; the final row and every monitor are always exact).
     """
     params = as_parameter_set(params)
     gate = stable_timestep(params, grid)
@@ -198,11 +141,11 @@ def simulate(
             "; ".join(gate.reasons) + f"; largest safe dt = {gate.dt_max:.6g}",
             suggested_dt=gate.dt_max,
         )
-    if mixing not in ("stationary", "full"):
-        raise ParameterError("mixing must be 'stationary' or 'full'")
 
     nodes = grid.age_nodes()
-    s, i, r = _initial_rows(initial, nodes)
+    s, i, r = (np.asarray(x, dtype=float) for x in initial)
+    if not s.shape == i.shape == r.shape == nodes.shape:
+        raise ShapeError("initial rows must match the age grid")
     total = s + i + r
     if np.max(np.abs(total - 1.0)) > _SUM_TOL:
         raise ParameterError("initial fractions must sum to 1 (tolerance 1e-12)")
@@ -215,35 +158,24 @@ def simulate(
 
     quad = QuadratureGrid.uniform(grid.age_max, grid.n_age)
     weights = quad.weights
-    kernel = stationary_mixing(params, quad)
-    if mixing == "full":
-        if n0 is None:
-            n0_fn = lambda shift: params.birth_rate * np.exp(  # noqa: E731
-                -params.mu.cumulative(shift)
-            )
-        else:
-            n0_fn = as_profile(n0)
+    if n0 is None:
+        density = stationary_mixing(params, quad).density
+    else:
         contact = params.contact(nodes)
-        cum_mu = params.mu.cumulative(nodes)
 
-    rates = _node_rates(params, nodes)
+    beta, rho = params.beta(nodes), params.rho(nodes)
+    exit_pressure = params.phi(nodes) + params.gamma(nodes)
     dt, da = grid.dt, grid.da
 
     n_time = grid.n_time
-    if store == "full":
-        stride = 1
-    elif store == "auto":
+    if store == "auto":
         full_size = (n_time + 1) * (grid.n_age + 1)
-        stride = 1 if full_size <= _AUTO_STORE_LIMIT else int(
+        store = 1 if full_size <= _AUTO_STORE_LIMIT else int(
             np.ceil(n_time / _AUTO_STORE_ROWS)
         )
-    else:
-        stride = max(1, int(store))
-
-    kept_j = sorted(set(range(0, n_time + 1, stride)) | {n_time})
-    kept_pos = {j: idx for idx, j in enumerate(kept_j)}
-    n_nodes = nodes.size
-    out_s = np.empty((len(kept_j), n_nodes))
+    stride = 1 if store == "full" else max(1, int(store))
+    kept_j = np.append(np.arange(0, n_time, stride), n_time)
+    out_s = np.empty((kept_j.size, nodes.size))
     out_i = np.empty_like(out_s)
     out_r = np.empty_like(out_s)
     b_series = np.empty(n_time + 1)
@@ -252,19 +184,13 @@ def simulate(
     minimum = np.inf
     time_nodes = grid.time_nodes()
     for j in range(n_time + 1):
-        t = time_nodes[j]
-        if mixing == "stationary":
-            p_row = kernel.density
-        else:
-            shift = np.maximum(nodes - t, 0.0)
-            carried = n0_fn(shift) * np.exp(-(cum_mu - params.mu.cumulative(shift)))
-            n_row = np.where(t >= nodes, params.birth_rate * kernel.survival, carried)
-            weighted = contact * n_row
+        if n0 is not None:
+            weighted = contact * total_population(params, n0, time_nodes[j], nodes)
             norm = float(weights @ weighted)
             if not norm > 0:
                 raise ParameterError("mixing normalization vanished mid-run")
-            p_row = weighted / norm
-        B = float(weights @ (i * p_row))
+            density = weighted / norm
+        B = float(weights @ (i * density))
         b_series[j] = B
 
         conservation = max(conservation, float(np.max(np.abs(s + i + r - 1.0))))
@@ -279,23 +205,16 @@ def simulate(
                 suggested_dt=gate.dt_max,
                 node=(j, k),
             )
-        if j in kept_pos:
-            idx = kept_pos[j]
-            out_s[idx], out_i[idx], out_r[idx] = s, i, r
+        if j % stride == 0:
+            out_s[j // stride], out_i[j // stride], out_r[j // stride] = s, i, r
         if j == n_time:
             break
-        s, i, r = _step_arrays(s, i, r, B, dt, da, *rates)
+        s, i, r = _step_arrays(s, i, r, B, dt, da, beta, exit_pressure, rho)
+    out_s[-1], out_i[-1], out_r[-1] = s, i, r
 
-    field = StateField(
-        times=time_nodes[np.asarray(kept_j)],
-        ages=nodes,
-        s=out_s,
-        i=out_i,
-        r=out_r,
-    )
+    field = StateField(times=time_nodes[kept_j], ages=nodes, s=out_s, i=out_i, r=out_r)
     return Trajectory(
         grid=grid,
-        mixing=mixing,
         field=field,
         b_series=b_series,
         conservation_max=conservation,

@@ -55,7 +55,6 @@ class TestParseConfig:
         assert config.grid.da == 0.5
         # auto time stepping respects the positivity bound
         assert config.grid.dt < 1.0 / (2.0 + 149.65)
-        assert config.mixing == "stationary"
 
     def test_inline_profile_table(self):
         text = BISTABLE_INI.replace("beta = 60", "beta = 0:5, 20:60, 50:10")
@@ -104,6 +103,15 @@ class TestParseConfig:
         text = BISTABLE_INI.replace("center = 20", "center = 3")
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_table_nonzero_at_age_zero_rejected(self):
+        # the solver's inflow boundary needs i0(0) exactly 0, so the
+        # config must reject even a tiny value there before any file is written
+        initial = BISTABLE_INI.split("[initial]")[0] + (
+            "[initial]\nkind = table\ni0 = 0:1e-13, 10:0.1, 100:0\n"
+        )
+        with pytest.raises(ConfigError):
+            parse_config(initial)
 
     def test_round_trip_lossless(self):
         config = parse_config(BISTABLE_INI)

@@ -11,11 +11,11 @@ from epiage import (
     closed_form_profiles,
     cosine_bump,
     fixed_points_exact,
-    force_of_infection,
+    AgeProfile,
     simulate,
     stable_timestep,
     stationary_mixing,
-    step,
+    survival,
 )
 
 
@@ -47,24 +47,36 @@ class TestStableTimestep:
         assert any("dt" in reason for reason in report.reasons)
 
 
+def first_step(params, initial, grid):
+    """Pressure at t = 0 and the row after one step of a ``store=1`` run."""
+    traj = simulate(params, initial, grid, store=1)
+    return traj.b_series[0], (traj.field.s[1], traj.field.i[1], traj.field.r[1])
+
+
 class TestForceOfInfection:
     def test_no_infection(self, rates_bistable):
         grid = GridSpec(100.0, 1.0, 200, 300)
-        p = stationary_mixing(rates_bistable, grid).density
-        assert force_of_infection(np.zeros_like(p), p, grid) == 0.0
+        nodes = grid.age_nodes()
+        zero = np.zeros_like(nodes)
+        B, _ = first_step(rates_bistable, (np.ones_like(nodes), zero, zero), grid)
+        assert B == 0.0
 
     def test_full_infection_saturates(self, rates_bistable):
+        # everyone past the inflow node infected: B misses only that node's weight
         grid = GridSpec(100.0, 1.0, 200, 300)
-        p = stationary_mixing(rates_bistable, grid).density
-        assert force_of_infection(np.ones_like(p), p, grid) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        nodes = grid.age_nodes()
+        i0 = np.ones_like(nodes)
+        i0[0] = 0.0
+        B, _ = first_step(rates_bistable, (1.0 - i0, i0, np.zeros_like(nodes)), grid)
+        kernel = stationary_mixing(rates_bistable, grid)
+        missing = kernel.grid.weights[0] * kernel.density[0]
+        assert B == pytest.approx(1.0 - missing, abs=1e-12)
 
     def test_linear_profile_against_adaptive_oracle(self, rates_bistable):
         grid = GridSpec(100.0, 1.0, 200, 300)
-        kernel = stationary_mixing(rates_bistable, grid)
         nodes = grid.age_nodes()
-        value = force_of_infection(nodes / 100.0, kernel.density, grid)
+        i0 = nodes / 100.0
+        value, _ = first_step(rates_bistable, (1.0 - i0, i0, np.zeros_like(nodes)), grid)
         mu = 0.0125
         weight, _ = quad(lambda a: np.exp(-mu * a), 0, 100.0)
         oracle, _ = quad(lambda a: (a / 100.0) * np.exp(-mu * a) / weight, 0, 100.0)
@@ -72,8 +84,15 @@ class TestForceOfInfection:
 
     def test_shape_mismatch(self, rates_bistable):
         grid = GridSpec(100.0, 1.0, 200, 300)
-        with pytest.raises(ShapeError):
-            force_of_infection(np.zeros(5), np.zeros(6), grid)
+        nodes = grid.age_nodes()
+        zero = np.zeros_like(nodes)
+        for initial in (
+            (np.ones(5), np.zeros(5), np.zeros(5)),
+            (np.ones_like(nodes), np.zeros(nodes.size - 1), zero),
+            (np.ones_like(nodes), zero, np.zeros((2, nodes.size))),
+        ):
+            with pytest.raises(ShapeError):
+                simulate(rates_bistable, initial, grid)
 
 
 class TestStep:
@@ -81,18 +100,20 @@ class TestStep:
         grid = GridSpec(100.0, 1.0, 200, 1000)
         nodes = grid.age_nodes()
         row = (np.ones_like(nodes), np.zeros_like(nodes), np.zeros_like(nodes))
-        s, i, r = step(row, 0.0, rates_bistable, grid)
+        B, (s, i, r) = first_step(rates_bistable, row, grid)
+        assert B == 0.0
         assert np.all(s == 1.0) and np.all(i == 0.0) and np.all(r == 0.0)
 
     def test_three_node_grid_hand_computed(self, rates_bistable):
         # da = 1, dt = 0.004; spreadsheet-style evaluation of the update
         grid = GridSpec(2.0, 1.0, 2, 250)
         beta, pg, rho = 60.0, 73.0, 76.65
-        dt, da, B = 0.004, 1.0, 0.2
+        dt, da = 0.004, 1.0
         s = np.array([1.0, 0.8, 0.7])
         i = np.array([0.0, 0.15, 0.2])
         r = np.array([0.0, 0.05, 0.1])
-        s_new, i_new, r_new = step((s, i, r), B, rates_bistable, grid)
+        B, (s_new, i_new, r_new) = first_step(rates_bistable, (s, i, r), grid)
+        assert 0.0 < B < 1.0
         for k in (1, 2):
             exp_s = s[k] + dt * (-beta * s[k] * B - (s[k] - s[k - 1]) / da)
             exp_i = i[k] + dt * (
@@ -112,7 +133,8 @@ class TestStep:
         r = 0.3 * rng.uniform(0.0, 1.0, nodes.size)
         i[0] = r[0] = 0.0
         s = 1.0 - i - r
-        s_new, i_new, r_new = step((s, i, r), 0.37, rates_bistable, grid)
+        B, (s_new, i_new, r_new) = first_step(rates_bistable, (s, i, r), grid)
+        assert B > 0.0
         # sum evolves by pure advection of the (identically 1) sum
         assert np.abs(s_new + i_new + r_new - 1.0).max() < 1e-15
 
@@ -153,7 +175,7 @@ class TestSimulate:
         nodes = grid.age_nodes()
         i0 = cosine_bump(nodes, 0.3, 2.5, 1.5)
         traj = simulate(
-            rates_extinction, (1.0 - i0, i0, np.zeros_like(nodes)), grid, store="full"
+            rates_extinction, (1.0 - i0, i0, np.zeros_like(nodes)), grid, store=1
         )
         sup = traj.field.i.max(axis=1)
         transient = int(np.ceil(grid.age_max / grid.dt))
@@ -164,12 +186,14 @@ class TestSimulate:
         grid = stable_grid(rates_bistable, 60.0, 0.5, 0.25)
         nodes = grid.age_nodes()
         i0 = cosine_bump(nodes, 0.4, 20.0, 10.0)
+        # the steady population on a fine table; its linear interpolation
+        # error sets the gap (2.2e-10 on 241 knots, 2.4e-12 on 2401)
+        params = rates_bistable.to_parameter_set()
+        ages = np.linspace(0.0, 60.0, 24001)
+        n0 = AgeProfile(ages, params.birth_rate * survival(params, ages))
         still = simulate(rates_bistable, (1.0 - i0, i0, np.zeros_like(nodes)), grid)
         moving = simulate(
-            rates_bistable,
-            (1.0 - i0, i0, np.zeros_like(nodes)),
-            grid,
-            mixing="full",
+            rates_bistable, (1.0 - i0, i0, np.zeros_like(nodes)), grid, n0=n0
         )
         assert np.abs(still.b_series - moving.b_series).max() < 1e-12
 
@@ -196,11 +220,11 @@ class TestSimulate:
         nodes = grid.age_nodes()
         i0 = cosine_bump(nodes, 0.6, 40.0, 20.0)
         traj = simulate(
-            rates_bistable, (1.0 - i0, i0, np.zeros_like(nodes)), grid, store="full"
+            rates_bistable, (1.0 - i0, i0, np.zeros_like(nodes)), grid, store=1
         )
-        density = stationary_mixing(rates_bistable, grid).density
+        kernel = stationary_mixing(rates_bistable, grid)
         assert traj.b_series[0] == pytest.approx(
-            force_of_infection(i0, density, grid), abs=1e-15
+            kernel.integrate(i0 * kernel.density), abs=1e-15
         )
         assert np.all(traj.b_series >= 0.0)
         assert np.all(traj.b_series <= 1.0 + 1e-12)
