@@ -72,7 +72,9 @@ def stability_probe(params, steady: SteadyState, epsilon: float = PROBE_EPSILON)
         if steady.b_star == 0.0:
             width = _PROBE_AGE_MAX / 2.0
             i0 = cosine_bump(nodes, epsilon, width, width)
-            traj = simulate(params, (1.0 - i0, i0, np.zeros_like(nodes)), grid)
+            traj = simulate(
+                params, (1.0 - i0, i0, np.zeros_like(nodes)), grid, store=n_time
+            )
             return "stable" if traj.b_series[-1] <= 0.5 * traj.b_series[0] else "unstable"
         band = 0.5 * epsilon * steady.b_star
         for sign in (+1.0, -1.0):
@@ -87,7 +89,7 @@ def stability_probe(params, steady: SteadyState, epsilon: float = PROBE_EPSILON)
             s0 = s0 - deficit
             if r0_row.min() < 0:
                 raise ParameterError("perturbation exceeds the recovered pool")
-            traj = simulate(params, (s0, i0, r0_row), grid)
+            traj = simulate(params, (s0, i0, r0_row), grid, store=n_time)
             if abs(traj.b_series[-1] - steady.b_star) > band:
                 return "unstable"
         return "stable"

@@ -5,6 +5,10 @@ row per record, fields separated by commas and lines ended by CRLF.
 Numbers are serialized with 17 significant digits so that re-reading a
 file reproduces the in-memory doubles bit-exactly; branch indices are
 integers and stability tags plain words, so no field is ever quoted.
+Rows are written in blocks, and within a block each distinct double of a
+column (keyed on its bits, so 0.0 and -0.0 stay apart) is formatted once:
+trajectory times repeat along a row, ages across rows, and untouched
+plateaus of s, i and r repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -31,20 +35,37 @@ def _write_table(path, header, columns) -> Path:
     """Write ``header`` and the rows of equal-length ``(values, format)`` columns.
 
     Each format is a printf conversion: ``%.17g`` for floats, ``%d`` for
-    integers, ``%s`` for words.
+    integers, ``%s`` for words.  A ``%.17g`` column is formatted once per
+    distinct bit pattern in each block of ``_BLOCK_ROWS`` rows; the bytes
+    are those of formatting every value.
     """
     path = Path(path)
-    arrays = [np.asarray(values) for values, _ in columns]
-    template = ",".join(spec for _, spec in columns) + "\r\n"
+    arrays = [
+        np.asarray(values, dtype=float) if spec == "%.17g" else np.asarray(values)
+        for values, spec in columns
+    ]
+    specs = [spec for _, spec in columns]
     n_rows = len(arrays[0])
     if any(len(array) != n_rows for array in arrays):
         raise ShapeError(f"columns differ in length: {[len(a) for a in arrays]}")
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         for start in range(0, n_rows, _BLOCK_ROWS):
-            block = [array[start : start + _BLOCK_ROWS].tolist() for array in arrays]
-            handle.write("".join(template % row for row in zip(*block)))
+            cells = [
+                _cells(array[start : start + _BLOCK_ROWS], spec)
+                for array, spec in zip(arrays, specs)
+            ]
+            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
     return path
+
+
+def _cells(block, spec) -> list:
+    """The formatted fields of one column block."""
+    if spec != "%.17g":
+        return [spec % value for value in block.tolist()]
+    bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+    distinct = np.array([spec % value for value in bits.view(float).tolist()], dtype=object)
+    return distinct[inverse].tolist()
 
 
 def write_report(path, report: ThresholdReport) -> Path:

@@ -119,6 +119,30 @@ class TestStabilityProbe:
         )
         assert stability_probe(rates_extinction, zero) == "stable"
 
+    def test_probe_runs_keep_first_and_last_rows(
+        self, monkeypatch, rates_bistable, kernel_bistable
+    ):
+        """The probe reads only b_series, so each run stores just two rows."""
+        import epiage.bifurcation as bifurcation
+
+        original = bifurcation.simulate
+        kept = []
+
+        def recording(*args, **kwargs):
+            trajectory = original(*args, **kwargs)
+            kept.append(trajectory.field.times.size)
+            return trajectory
+
+        monkeypatch.setattr(bifurcation, "simulate", recording)
+        _, large = find_fixed_points(rates_bistable, kernel_bistable)
+        ages = kernel_bistable.ages
+        zero = SteadyState(
+            0.0, ages, np.ones_like(ages), np.zeros_like(ages), np.zeros_like(ages), 0.0
+        )
+        assert stability_probe(rates_bistable, large) == "stable"
+        assert stability_probe(rates_bistable, zero) == "stable"
+        assert kept == [2, 2, 2]
+
     def test_probe_epsilon_validated(self, rates_bistable, kernel_bistable):
         small, _ = find_fixed_points(rates_bistable, kernel_bistable)
         with pytest.raises(ParameterError):

@@ -13,6 +13,7 @@ from epiage import (
     render_config,
 )
 from epiage.io import (
+    _BLOCK_ROWS,
     read_trajectory,
     write_b_series,
     write_diagram,
@@ -247,6 +248,69 @@ def test_every_writer_bytes(tmp_path):
     )
     path = write_diagram(tmp_path / "empty.csv", [])
     assert path.read_bytes() == b"swept_value,r0,branch_index,b_star,stability\r\n"
+
+
+def naive_table(header, specs, columns):
+    """Reference bytes: every value formatted by itself, row by row."""
+    template = ",".join(specs) + "\r\n"
+    rows = "".join(template % row for row in zip(*columns))
+    return (",".join(header) + "\r\n" + rows).encode()
+
+
+def test_block_boundary_bytes(tmp_path):
+    """Repeats, signed zeros and list inputs across a block boundary."""
+    n = _BLOCK_ROWS + 3
+    times = list(range(n))  # integer-valued list input
+    values = np.linspace(-1.0, 1.0, n)
+    edge = [0.0, -0.0, 1.0 / 3.0, 1.0 / 3.0, -0.0, 0.0]
+    values[_BLOCK_ROWS - 3 : _BLOCK_ROWS + 3] = edge
+    values[:2] = values[-2:] = [-0.0, 1.0 / 3.0]
+    path = write_b_series(tmp_path / "b.csv", times, values.tolist())
+    assert path.read_bytes() == naive_table(
+        ["t", "B"], ["%.17g", "%.17g"], [times, values.tolist()]
+    )
+
+    ages = np.array([0.0, -0.0, 1.0 / 3.0])
+    ages = np.resize(ages, _BLOCK_ROWS // 2 + 3)
+    states = [
+        SteadyState(b, ages, ages, -ages, ages, -0.0) for b in (1.0 / 3.0, 0.5)
+    ]
+    path = write_steady_states(tmp_path / "steady.csv", states)
+    rows = [
+        (k, state.b_star, state.residual, a, s, i, r)
+        for k, state in enumerate(states)
+        for a, s, i, r in zip(state.ages, state.s, state.i, state.r)
+    ]
+    assert path.read_bytes() == naive_table(
+        ["branch", "b_star", "residual", "a", "s", "i", "r"],
+        ["%d"] + ["%.17g"] * 6,
+        list(zip(*rows)),
+    )
+
+    tags = ["stable", "unstable", "untested"]
+    branch_ages = np.array([0.0, 1.0])
+    diagram = [
+        DiagramRow(
+            float(value),
+            1.0 / 3.0,
+            tuple(
+                Branch(0.25 * k, branch_ages, np.array([0.0, value]), tags[(value + k) % 3])
+                for k in range(2)
+            ),
+        )
+        for value in range(_BLOCK_ROWS // 2 + 3)
+    ]
+    path = write_diagram(tmp_path / "diagram.csv", diagram)
+    rows = [
+        (row.swept_value, row.r0, k, branch.b_star, branch.stability, 0.0, branch.infected[1])
+        for row in diagram
+        for k, branch in enumerate(row.branches)
+    ]
+    assert path.read_bytes() == naive_table(
+        ["swept_value", "r0", "branch_index", "b_star", "stability", "i_star@0", "i_star@1"],
+        ["%.17g", "%.17g", "%d", "%.17g", "%s", "%.17g", "%.17g"],
+        list(zip(*rows)),
+    )
 
 
 def test_unequal_columns_rejected(tmp_path):

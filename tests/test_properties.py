@@ -4,14 +4,27 @@ Whenever ``stable_timestep`` passes a grid, ``simulate`` conserves
 s + i + r to roundoff and keeps every fraction nonnegative, with the
 stationary mixing density and with one rebuilt from a random initial
 population ``n0``.  A grid the gate rejects is rejected by ``simulate``.
+A trajectory written to CSV reads back bit for bit, and its bytes are
+those of formatting every value by itself.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiage import AgeProfile, GridSpec, ParameterSet, TimeStepError, simulate, stable_timestep
+from epiage import (
+    AgeProfile,
+    GridSpec,
+    ParameterSet,
+    StateField,
+    TimeStepError,
+    simulate,
+    stable_timestep,
+)
+from epiage.io import read_trajectory, write_trajectory
 
 
 def rate_table(low, high):
@@ -64,3 +77,67 @@ def test_simulate_conserves_and_stays_positive(
     trajectory = simulate(params, initial, grid, n0=n0)
     assert trajectory.conservation_max <= 1e-12
     assert trajectory.minimum_value >= -1e-14
+
+
+# Doubles for the CSV round trip.  Every field draws s, i and r from a small
+# pool that always holds signed zeros, subnormals and extremes, so values
+# repeat and 0.0 sits next to -0.0.
+SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e300, -1e300]
+doubles = st.sampled_from(SPECIAL_DOUBLES) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def axis(min_size, max_size):
+    """Strictly increasing grid axis (0.0 and -0.0 count as one value)."""
+    values = st.lists(doubles, min_size=min_size, max_size=max_size, unique_by=float)
+    return values.map(lambda chosen: np.array(sorted(chosen)))
+
+
+def wide_axis(min_size, max_size):
+    """Increasing axis of random signs and magnitudes, too long to draw one by one."""
+
+    def build(size, seed):
+        rng = np.random.default_rng(seed)
+        return np.unique(rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size))
+
+    return st.builds(build, st.integers(min_size, max_size), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def state_fields(draw, times, ages):
+    """StateFields whose s, i and r repeat values within and across rows."""
+    times, ages = draw(times), draw(ages)
+    pool = np.array(SPECIAL_DOUBLES + draw(st.lists(doubles, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (times.size, ages.size)
+    return StateField(times, ages, *(pool[rng.integers(0, pool.size, shape)] for _ in "sir"))
+
+
+def check_csv_round_trip(directory, field):
+    path = write_trajectory(directory / "trajectory.csv", field)
+    columns = (field.s.ravel(), field.i.ravel(), field.r.ravel())
+    points = [(t, a) for t in field.times for a in field.ages]
+    rows = "".join(
+        "%.17g,%.17g,%.17g,%.17g,%.17g\r\n" % (t, a, s, i, r)
+        for (t, a), s, i, r in zip(points, *columns)
+    )
+    assert path.read_bytes() == ("t,a,s,i,r\r\n" + rows).encode()
+    back = read_trajectory(path)
+    for name in ("times", "ages", "s", "i", "r"):
+        bits = getattr(back, name).view(np.uint64)
+        assert np.array_equal(bits, getattr(field, name).view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=state_fields(axis(1, 6), axis(1, 6)), block_rows=st.integers(1, 9))
+def test_trajectory_csv_round_trip_is_bit_exact(tmp_path_factory, field, block_rows):
+    """Small blocks put block boundaries inside small fields."""
+    with mock.patch("epiage.io._BLOCK_ROWS", block_rows):
+        check_csv_round_trip(tmp_path_factory.mktemp("csv"), field)
+
+
+@pytest.mark.slow
+@settings(max_examples=10, deadline=None)
+@given(field=state_fields(axis(7, 12), wide_axis(1000, 1200)))
+def test_large_trajectory_csv_round_trip_is_bit_exact(tmp_path_factory, field):
+    """7000-14400 rows: the writer's own block boundary falls inside most fields."""
+    check_csv_round_trip(tmp_path_factory.mktemp("csv"), field)
