@@ -11,14 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-from epiage import ConstantRates, analysis_kernel, sweep
+from epiage import ConstantRates, sweep
 from epiage.io import write_diagram
 
 base = ConstantRates(mu=0.0125, beta=60.0, phi=60.0, gamma=13.0, rho=76.65)
-kernel = analysis_kernel(base)
 
 values = [5.0, 10.0, 16.0, 18.0, 25.0, 40.0, 60.0, 73.0, 74.0, 90.0, 120.0]
-rows = sweep(base, "beta", values, kernel=kernel, cross_check=False)
+rows = sweep(base, "beta", values)
 
 print(f"{'beta':>8} {'R0':>10} branches (pressure values)")
 for row in rows:
@@ -30,6 +29,6 @@ write_diagram(out, rows, ages=np.linspace(0.0, 100.0, 201))
 print(f"\nwrote {out}")
 
 print("\nstability of the two branches at beta = 60 (perturb and resimulate):")
-probed = sweep(base, "beta", [60.0], kernel=kernel, probe=True, cross_check=False)
+probed = sweep(base, "beta", [60.0], probe=True)
 for branch in probed[0].branches:
     print(f"  B* = {branch.b_star:.6g}: {branch.stability}")

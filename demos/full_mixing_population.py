@@ -18,19 +18,18 @@ from epiage import (
     GridSpec,
     cosine_bump,
     simulate,
-    stable_timestep,
     survival,
     total_population,
     validate,
 )
+from epiage.transport import auto_time_steps
 
 rates = ConstantRates(mu=0.0125, beta=60.0, phi=60.0, gamma=13.0, rho=76.65)
 params = rates.to_parameter_set()
 
 age_max, time_max, da = 100.0, 2.0, 0.25
 n_age = round(age_max / da)
-gate = stable_timestep(rates, GridSpec(age_max, time_max, n_age, 10 ** 6))
-grid = GridSpec(age_max, time_max, n_age, int(np.ceil(time_max / (0.9 * gate.dt_max))))
+grid = GridSpec(age_max, time_max, n_age, auto_time_steps(rates, age_max, time_max, n_age))
 nodes = grid.age_nodes()
 i0 = cosine_bump(nodes, 0.4, 30.0, 15.0)
 initial = (1.0 - i0, i0, np.zeros_like(nodes))

@@ -69,27 +69,25 @@ def _psi(x):
     return out
 
 
-def cell_sources(nodes, psi, stage_g, decay_nodes=None):
+def cell_sources(nodes, psi, stage_g, decay_nodes):
     """Per-cell inhomogeneous increments q_k of the exponential scheme.
 
     nodes:   (n,) strictly increasing ages.
     psi:     (..., n) cumulative decay exponent at the nodes.
     stage_g: (..., n-1, 4) source samples at the cell stage points.
-    decay_nodes: optional (..., n) samples of K itself.  When K varies
-        linearly inside a cell, the exact kernel picks up the factor
+    decay_nodes: (..., n) samples of K itself.  When K varies linearly
+        inside a cell, the exact kernel picks up the factor
         exp(-K' u (h-u) / 2) relative to the cell-averaged exponent; at
         the two interior stage points u(h-u) = 2 h^2 / 9, so folding
         exp(-(K_R - K_L) h / 9) into those stages makes the scheme exact
         for linear K as well.
     """
     h = np.diff(nodes)
-    z = np.diff(psi, axis=-1)
-    x = z  # kappa * h with kappa the cell-averaged decay rate
-    if decay_nodes is not None:
-        correction = np.exp(-np.diff(decay_nodes, axis=-1) * h / 9.0)
-        stage_g = stage_g.copy()
-        stage_g[..., 1] *= correction
-        stage_g[..., 2] *= correction
+    x = np.diff(psi, axis=-1)  # kappa * h with kappa the cell-averaged decay rate
+    correction = np.exp(-np.diff(decay_nodes, axis=-1) * h / 9.0)
+    stage_g = stage_g.copy()
+    stage_g[..., 1] *= correction
+    stage_g[..., 2] *= correction
     mono = stage_g @ _STAGE_TO_MONO.T  # (..., n-1, 4) monomial coefficients
     psis = np.moveaxis(_psi(x), 0, -1)  # (..., n-1, 4)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -120,6 +118,6 @@ def propagate(q, psi):
     return np.concatenate([zeros, r_tail], axis=-1)
 
 
-def exp_sweep(nodes, psi, stage_g, decay_nodes=None):
+def exp_sweep(nodes, psi, stage_g, decay_nodes):
     """Solution values of r' = g - K r, r(0) = 0, at the nodes."""
     return propagate(cell_sources(nodes, psi, stage_g, decay_nodes), psi)

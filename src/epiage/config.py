@@ -40,13 +40,12 @@ import numpy as np
 
 from .errors import ConfigError, ModelError
 from .grids import GridSpec
-from .parameters import ConstantRates, ParameterSet
+from .parameters import RATE_NAMES, ConstantRates, ParameterSet
 from .profiles import AgeProfile
 from .transport import auto_time_steps
 
-_RATE_KEYS = ("mu", "beta", "phi", "gamma", "rho", "contact")
 _KNOWN_KEYS = {
-    "parameters": set(_RATE_KEYS) | {"birth_rate"},
+    "parameters": set(RATE_NAMES) | {"birth_rate"},
     "grid": {"age_max", "time_max", "age_steps", "time_steps"},
     "initial": {"kind", "amplitude", "center", "width", "i0", "r0"},
     "output": {"stride", "directory"},
@@ -100,7 +99,6 @@ def cosine_bump(ages, amplitude, center, width):
 @dataclass(frozen=True)
 class RunConfig:
     params: ParameterSet
-    rates: ConstantRates | None  # set when every rate is constant
     grid: GridSpec
     initial: InitialSpec
     stride: str | int = "auto"
@@ -108,6 +106,11 @@ class RunConfig:
     sweep_param: str | None = None
     sweep_values: tuple = ()
     sweep_probe: bool = False
+
+    @property
+    def rates(self) -> ConstantRates | None:
+        """The closed-form rates, set when every rate is constant."""
+        return self.params.constant_rates()
 
 
 def _parse_float(text, line):
@@ -186,7 +189,7 @@ def parse_config(text: str, base_dir=None) -> RunConfig:
 
     pars = sections["parameters"]
     profiles = {}
-    for key in _RATE_KEYS:
+    for key in RATE_NAMES:
         if key not in pars:
             raise ConfigError(f"[parameters] missing {key!r}")
         profiles[key] = _parse_profile(*pars[key], base_dir=base_dir)
@@ -197,14 +200,6 @@ def parse_config(text: str, base_dir=None) -> RunConfig:
         params = ParameterSet(birth_rate=birth, **profiles)
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
-    rates = None
-    if all(profiles[k].is_constant for k in _RATE_KEYS):
-        try:
-            rates = ConstantRates(
-                *(profiles[k].values[0] for k in ("mu", "beta", "phi", "gamma", "rho"))
-            )
-        except ModelError:
-            rates = None
 
     gsec = sections["grid"]
     for key in ("age_max", "time_max", "age_steps"):
@@ -252,7 +247,7 @@ def parse_config(text: str, base_dir=None) -> RunConfig:
         if "param" not in ssec or "values" not in ssec:
             raise ConfigError("[sweep] needs both param and values")
         sweep_param, param_line = ssec["param"]
-        if sweep_param not in ("mu", "beta", "phi", "gamma", "rho"):
+        if sweep_param not in RATE_NAMES[:5]:
             raise ConfigError(f"cannot sweep {sweep_param!r}", param_line)
         values_text, values_line = ssec["values"]
         sweep_values = tuple(
@@ -266,7 +261,6 @@ def parse_config(text: str, base_dir=None) -> RunConfig:
 
     config = RunConfig(
         params=params,
-        rates=rates,
         grid=grid,
         initial=initial,
         stride=stride,
@@ -335,7 +329,7 @@ def _format_profile(profile: AgeProfile) -> str:
 def render_config(config: RunConfig) -> str:
     """Text that parses back to an equivalent RunConfig (lossless floats)."""
     lines = ["[parameters]"]
-    for key in _RATE_KEYS:
+    for key in RATE_NAMES:
         lines.append(f"{key} = {_format_profile(getattr(config.params, key))}")
     lines.append(f"birth_rate = {config.params.birth_rate:.17g}")
     lines += [

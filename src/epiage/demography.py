@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .grids import GridSpec, QuadratureGrid
-from .parameters import ParameterSet, as_parameter_set
+from .parameters import RATE_NAMES, ParameterSet, as_parameter_set
 from .profiles import as_profile
 
 #: default truncation: age_max is chosen so survival(age_max) <= this
@@ -53,13 +53,12 @@ def total_population(params: ParameterSet, n0, t: float, a):
 class DemographicKernel:
     """Stationary mixing density cached on an age grid.
 
-    survival: F(a_k); density: the stationary mixing density p(a_k) with
-    quadrature exactly 1 over the grid; norm: the normalizing integral of
-    contact * survival before renormalization.
+    density: the stationary mixing density p(a_k) with quadrature exactly
+    1 over the grid; norm: the normalizing integral of contact * survival
+    before renormalization.
     """
 
     grid: QuadratureGrid
-    survival: np.ndarray
     density: np.ndarray
     norm: float
 
@@ -74,15 +73,14 @@ class DemographicKernel:
 def _kernel_on(params: ParameterSet, grid: QuadratureGrid) -> DemographicKernel:
     if params.mu.min_value() <= 0:
         raise ParameterError("mu must be strictly positive to build a kernel")
-    F = survival(params, grid.nodes)
-    weighted = params.contact(grid.nodes) * F
+    weighted = params.contact(grid.nodes) * survival(params, grid.nodes)
     norm = grid.integrate(weighted)
     if not norm > 0:
         raise ParameterError("normalizing integral of contact * survival is <= 0")
     density = weighted / norm
     # second pass pins the quadrature of the density at exactly one
     density = density / grid.integrate(density)
-    return DemographicKernel(grid, F, density, float(norm))
+    return DemographicKernel(grid, density, float(norm))
 
 
 def stationary_mixing(params, grid) -> DemographicKernel:
@@ -135,10 +133,7 @@ def analysis_kernel(
         + 1.0
     )
     knots = np.unique(
-        np.concatenate(
-            [getattr(params, name).ages for name in
-             ("mu", "beta", "phi", "gamma", "rho", "contact")]
-        )
+        np.concatenate([getattr(params, name).ages for name in RATE_NAMES])
     )
     grid = QuadratureGrid.graded(
         age_max, 1.0 / fastest, panels_per_block, knots=knots

@@ -128,22 +128,22 @@ class QuadratureGrid:
         keep = np.concatenate([[True], np.diff(edges) > 1e-9 * length])
         edges = edges[keep]
         edges[0], edges[-1] = 0.0, length
-        nodes = [np.array([0.0])]
+        return cls._blocks(edges, panels_per_block)
+
+    @classmethod
+    def _blocks(cls, edges, n_panels: int) -> "QuadratureGrid":
+        """``n_panels`` uniform Simpson panels between consecutive edges."""
+        nodes = [np.array([edges[0]])]
         weights = np.zeros(1)
         blocks = []
         for lo, hi in zip(edges[:-1], edges[1:]):
-            h = (hi - lo) / panels_per_block
-            blocks.append((len(weights) - 1, panels_per_block))
-            block_nodes = lo + h * np.arange(1, panels_per_block + 1)
-            nodes.append(block_nodes)
-            w = _simpson_weights(panels_per_block, h)
+            h = (hi - lo) / n_panels
+            blocks.append((len(weights) - 1, n_panels))
+            nodes.append(lo + h * np.arange(1, n_panels + 1))
+            w = _simpson_weights(n_panels, h)
             weights[-1] += w[0]
             weights = np.concatenate([weights, w[1:]])
         return cls(np.concatenate(nodes), weights, tuple(blocks))
-
-    @property
-    def length(self) -> float:
-        return float(self.nodes[-1])
 
     def integrate(self, values: np.ndarray) -> float:
         values = np.asarray(values)
@@ -154,21 +154,6 @@ class QuadratureGrid:
         return values @ self.weights
 
     def refined(self) -> "QuadratureGrid":
-        """Same block layout with every panel split in two."""
-        nodes = [np.array([self.nodes[0]])]
-        weights = np.zeros(1)
-        blocks = []
-        for start, n_panels in self.blocks:
-            seg = self.nodes[start : start + n_panels + 1]
-            lo, hi = seg[0], seg[-1]
-            n2 = 2 * n_panels
-            h = (hi - lo) / n2
-            blocks.append((len(weights) - 1, n2))
-            nodes.append(lo + h * np.arange(1, n2 + 1))
-            w = _simpson_weights(n2, h)
-            weights[-1] += w[0]
-            weights = np.concatenate([weights, w[1:]])
-        return QuadratureGrid(np.concatenate(nodes), weights, tuple(blocks))
-
-    def cell_stages(self):
-        return cell_stages(self.nodes)
+        """Same block edges with every panel split in two."""
+        starts = [start for start, _ in self.blocks]
+        return self._blocks(self.nodes[starts + [-1]], 2 * self.blocks[0][1])

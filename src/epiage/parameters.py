@@ -9,6 +9,7 @@ import numpy as np
 from .errors import ParameterError
 from .profiles import AgeProfile, as_profile, profile_sum
 
+#: contact comes last: the first five are the fields of ``ConstantRates``
 RATE_NAMES = ("mu", "beta", "phi", "gamma", "rho", "contact")
 
 
@@ -49,6 +50,23 @@ class ParameterSet:
             raise ParameterError(f"unknown rate {name!r}")
         return replace(self, **{name: as_profile(value)})
 
+    def constant_rates(self) -> "ConstantRates | None":
+        """The closed-form rates when every profile is constant, else None.
+
+        This is the one test of whether the closed forms apply.  A constant
+        contact rate cancels from the mixing density and the birth rate
+        from the fractions, so neither enters the result; rates that
+        ``ConstantRates`` rejects also give None.
+        """
+        if not all(getattr(self, name).is_constant for name in RATE_NAMES):
+            return None
+        try:
+            return ConstantRates(
+                *(float(getattr(self, name).values[0]) for name in RATE_NAMES[:5])
+            )
+        except ParameterError:
+            return None
+
 
 @dataclass(frozen=True)
 class ConstantRates:
@@ -73,15 +91,9 @@ class ConstantRates:
     def exit_pressure(self) -> float:
         return self.phi + self.gamma
 
-    def to_parameter_set(self, contact=1.0, birth_rate=1.0) -> ParameterSet:
+    def to_parameter_set(self) -> ParameterSet:
         return ParameterSet(
-            mu=self.mu,
-            beta=self.beta,
-            phi=self.phi,
-            gamma=self.gamma,
-            rho=self.rho,
-            contact=contact,
-            birth_rate=birth_rate,
+            mu=self.mu, beta=self.beta, phi=self.phi, gamma=self.gamma, rho=self.rho
         )
 
 
@@ -97,12 +109,11 @@ class ValidationReport:
 
     compatible: bool
     mu_positive: bool
-    profiles_nonnegative: bool
     messages: tuple
 
     @property
     def ok(self) -> bool:
-        return self.compatible and self.mu_positive and self.profiles_nonnegative
+        return self.compatible and self.mu_positive
 
 
 def validate(params: ParameterSet, n0: AgeProfile) -> ValidationReport:
@@ -122,9 +133,4 @@ def validate(params: ParameterSet, n0: AgeProfile) -> ValidationReport:
     mu_positive = params.mu.min_value() > 0
     if not mu_positive:
         messages.append("mu has a nonpositive knot")
-    nonneg = all(
-        getattr(params, name).min_value() >= 0 for name in RATE_NAMES
-    ) and n0.min_value() >= 0
-    if not nonneg:
-        messages.append("a rate profile has a negative knot")
-    return ValidationReport(compatible, mu_positive, nonneg, tuple(messages))
+    return ValidationReport(compatible, mu_positive, tuple(messages))

@@ -63,7 +63,6 @@ def _config(rates, age_max, da, amplitude, center, width, time_max=10.0):
     stride = "auto" if n_age <= 400 else max(1, n_time // 64)
     return RunConfig(
         params=params,
-        rates=rates if isinstance(rates, ConstantRates) else None,
         grid=GridSpec(age_max, time_max, n_age, n_time),
         initial=InitialSpec(kind="bump", amplitude=amplitude, center=center, width=width),
         stride=stride,
@@ -142,7 +141,7 @@ def _diagram(run: _Run):
     if not config.sweep_param:
         raise ModelError("config needs a [sweep] section for this command")
     rows = sweep(
-        config.rates if config.rates is not None else config.params,
+        config.params,
         config.sweep_param,
         sorted(config.sweep_values),
         tol=run.tol,

@@ -25,6 +25,7 @@ from . import _sweep
 from ._roots import bracketed_root
 from .demography import DemographicKernel, refine_kernel
 from .errors import NumericsError, ParameterError, ToleranceError
+from .grids import cell_stages
 from .parameters import as_parameter_set
 
 _MAX_REFINEMENTS = 6
@@ -49,7 +50,7 @@ class _LotkaData:
         exit_pressure = params.exit_pressure()
         self.damping = exit_pressure.cumulative(self.nodes)
         self.exit_nodes = exit_pressure(self.nodes)
-        stages = kernel.grid.cell_stages()
+        stages = cell_stages(self.nodes)
         self.stage_beta = params.beta(stages)
         self._finer = None
 

@@ -4,6 +4,7 @@ import pytest
 from epiage import (
     ConstantRates,
     ParameterError,
+    ParameterSet,
     SteadyState,
     find_fixed_points,
     fixed_points_exact,
@@ -13,34 +14,35 @@ from epiage import (
 
 
 class TestSweep:
-    def test_branch_counts_across_regimes(self, rates_bistable, kernel_bistable):
-        rows = sweep(
-            rates_bistable,
-            "beta",
-            [0.011, 60.0, 120.0],
-            kernel=kernel_bistable,
-            cross_check=False,
-        )
+    def test_branch_counts_across_regimes(self, rates_bistable):
+        rows = sweep(rates_bistable, "beta", [0.011, 60.0, 120.0])
         assert [len(row.branches) for row in rows] == [0, 2, 1]
         assert all(row.error is None for row in rows)
         # R0 column is the constant-rate ratio
         assert rows[1].r0 == pytest.approx(0.8218, abs=1e-3)
 
-    def test_cross_check_against_general_solver(self, rates_bistable, kernel_bistable):
-        rows = sweep(
-            rates_bistable,
-            "beta",
-            [60.0, 120.0],
-            kernel=kernel_bistable,
-            cross_check=True,
-        )
+    def test_cross_check_against_general_solver(self, rates_bistable):
+        rows = sweep(rates_bistable, "beta", [60.0, 120.0])
         assert all(row.error is None for row in rows)
 
-    def test_below_backward_threshold_no_branches(self, rates_bistable, kernel_bistable):
-        # beta = 10 sits below the two-root threshold (~16.8) with R0 < 1
-        rows = sweep(
-            rates_bistable, "beta", [10.0], kernel=kernel_bistable, cross_check=False
+    def test_constant_parameter_set_uses_closed_forms(self, rates_bistable):
+        """A ParameterSet whose rates are all constant gives the ConstantRates row."""
+        params = ParameterSet(
+            mu=0.0125, beta=60.0, phi=60.0, gamma=13.0, rho=76.65, contact=2.5,
+            birth_rate=3.0,
         )
+        for value in (60.0, 120.0):
+            (general,) = sweep(params, "beta", [value])
+            (closed,) = sweep(rates_bistable, "beta", [value])
+            assert general.error is None
+            assert general.r0 == closed.r0
+            assert [b.b_star for b in general.branches] == [
+                b.b_star for b in closed.branches
+            ]
+
+    def test_below_backward_threshold_no_branches(self, rates_bistable):
+        # beta = 10 sits below the two-root threshold (~16.8) with R0 < 1
+        rows = sweep(rates_bistable, "beta", [10.0])
         assert rows[0].branches == ()
 
     def test_empty_values(self, rates_bistable):
@@ -50,20 +52,12 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep(rates_bistable, "beta", [60.0, 0.011])
 
-    def test_row_count_preserved_on_failure(self, rates_bistable, kernel_bistable):
+    def test_row_count_preserved_on_failure(self, rates_bistable):
         # rho = 0 breaks the quadratic path; the row records the error
-        rows = sweep(
-            rates_bistable,
-            "rho",
-            [1e-308],
-            kernel=kernel_bistable,
-            cross_check=False,
-        )
+        rows = sweep(rates_bistable, "rho", [1e-308])
         assert len(rows) == 1
 
     def test_general_path_age_dependent(self):
-        from epiage import ParameterSet
-
         params = ParameterSet(
             mu=0.0125,
             beta=70.0,
@@ -71,22 +65,14 @@ class TestSweep:
             gamma=13.0,
             rho=76.65,
         )
-        rows = sweep(params, "beta", [0.011, 70.0], cross_check=False)
+        rows = sweep(params, "beta", [0.011, 70.0])
         assert len(rows) == 2
         assert len(rows[0].branches) == 0
         assert len(rows[1].branches) == 2
         assert rows[1].r0 < 1.0  # backward-bifurcation territory
 
-    def test_branches_sorted_and_consistent_with_quadratic(
-        self, rates_bistable, kernel_bistable
-    ):
-        rows = sweep(
-            rates_bistable,
-            "beta",
-            [20.0, 60.0, 90.0],
-            kernel=kernel_bistable,
-            cross_check=False,
-        )
+    def test_branches_sorted_and_consistent_with_quadratic(self, rates_bistable):
+        rows = sweep(rates_bistable, "beta", [20.0, 60.0, 90.0])
         for row in rows:
             values = [branch.b_star for branch in row.branches]
             assert values == sorted(values)
@@ -142,8 +128,3 @@ class TestStabilityProbe:
         assert stability_probe(rates_bistable, large) == "stable"
         assert stability_probe(rates_bistable, zero) == "stable"
         assert kept == [2, 2, 2]
-
-    def test_probe_epsilon_validated(self, rates_bistable, kernel_bistable):
-        small, _ = find_fixed_points(rates_bistable, kernel_bistable)
-        with pytest.raises(ParameterError):
-            stability_probe(rates_bistable, small, epsilon=0.5)

@@ -4,6 +4,7 @@ import pytest
 from epiage import (
     Branch,
     ConfigError,
+    ConstantRates,
     DiagramRow,
     ShapeError,
     StateField,
@@ -63,6 +64,13 @@ class TestParseConfig:
         assert config.rates is None
         assert config.params.beta(20.0) == 60.0
         assert config.params.beta(35.0) == 35.0
+        # a constant-valued table keeps the closed-form rates, as floats
+        flat = parse_config(BISTABLE_INI.replace("beta = 60", "beta = 0:60, 50:60"))
+        assert flat.rates == ConstantRates(0.0125, 60.0, 60.0, 13.0, 76.65)
+        assert {type(value) for value in vars(flat.rates).values()} == {float}
+        # a varying contact rate rules them out
+        text = BISTABLE_INI.replace("contact = 1", "contact = 0:0.5, 40:1.5")
+        assert parse_config(text).rates is None
 
     def test_csv_profile(self, tmp_path):
         (tmp_path / "beta.csv").write_text("age,value\n0,5\n20,60\n50,10\n")
@@ -325,16 +333,10 @@ class TestDiagramCsv:
         assert len(lines) == 1
         assert lines[0].startswith("swept_value,r0,branch_index,b_star,stability")
 
-    def test_bistable_row_two_branches(self, tmp_path, rates_bistable, kernel_bistable):
+    def test_bistable_row_two_branches(self, tmp_path, rates_bistable):
         from epiage import sweep
 
-        rows = sweep(
-            rates_bistable,
-            "beta",
-            [10.0, 60.0],
-            kernel=kernel_bistable,
-            cross_check=False,
-        )
+        rows = sweep(rates_bistable, "beta", [10.0, 60.0])
         ages = np.linspace(0.0, 100.0, 11)
         path = write_diagram(tmp_path / "d.csv", rows, ages=ages)
         lines = path.read_text().splitlines()

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from epiage import GridSpec, ParameterError, QuadratureGrid
+from epiage.grids import cell_stages
 
 
 def test_grid_spec_derived_steps():
@@ -58,7 +59,7 @@ def test_refined_grid_shows_fourth_order():
 
 def test_cell_stages_shape_and_endpoints():
     grid = QuadratureGrid.uniform(1.0, 4)
-    st = grid.cell_stages()
+    st = cell_stages(grid.nodes)
     assert st.shape == (4, 4)
     assert np.allclose(st[:, 0], grid.nodes[:-1])
     assert np.allclose(st[:, -1], grid.nodes[1:])
