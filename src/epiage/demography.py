@@ -30,23 +30,39 @@ def survival(params: ParameterSet, a):
     return np.exp(-params.mu.cumulative(a))
 
 
-def total_population(params: ParameterSet, n0, t: float, a):
-    """Total population density at time ``t`` and age ``a``.
+def population_on(params: ParameterSet, n0, a):
+    """Total population density on the ages ``a`` as a function of time.
 
     Characteristics carry the initial profile for t < a and the inflow of
     newborns for t >= a; the two branches agree along t = a exactly when
-    n0(0) equals the birth rate, and the inflow branch is used there.
+    n0(0) equals the birth rate, and the inflow branch is used there.  The
+    parts that do not change with time (the cumulative exit rate and the
+    inflow branch) are computed here once; the returned function of t
+    evaluates the carried branch on the ages above t.
     """
-    if t < 0:
-        raise DomainError("time must be >= 0")
     n0 = as_profile(n0)
-    a_arr = np.asarray(a, dtype=float)
-    cum_mu = params.mu.cumulative(a_arr)
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    cum_mu = params.mu.cumulative(a)
     inflow = params.birth_rate * np.exp(-cum_mu)
-    a_shift = np.maximum(a_arr - t, 0.0)
-    carried = n0(a_shift) * np.exp(-(cum_mu - params.mu.cumulative(a_shift)))
-    out = np.where(t >= a_arr, inflow, carried)
-    return float(out) if np.isscalar(a) or a_arr.ndim == 0 else out
+
+    def at(t: float) -> np.ndarray:
+        if t < 0:
+            raise DomainError("time must be >= 0")
+        out = inflow.copy()
+        young = a > t
+        if np.any(young):
+            start = a[young] - t
+            carried = np.exp(-(cum_mu[young] - params.mu.cumulative(start)))
+            out[young] = n0(start) * carried
+        return out
+
+    return at
+
+
+def total_population(params: ParameterSet, n0, t: float, a):
+    """Total population density at time ``t`` and age ``a`` (see ``population_on``)."""
+    out = population_on(params, n0, a)(t)
+    return float(out[0]) if np.ndim(a) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -96,13 +96,12 @@ def euler_lotka(lam: float, params, kernel: DemographicKernel, rtol: float = 1e-
 
 def r0(params, kernel: DemographicKernel, rtol: float = 1e-8) -> float:
     """Reproduction number with treatment/recovery damping: G(0)."""
-    return euler_lotka(0.0, params, kernel, rtol)
+    return _r0(_LotkaData(as_parameter_set(params), kernel), rtol)
 
 
 def rc(params, kernel: DemographicKernel, rtol: float = 1e-8) -> float:
     """Reproduction number without damping; RC < 1 gives global extinction."""
-    params = as_parameter_set(params)
-    return _richardson(lambda d: d.rc_value(), _LotkaData(params, kernel), rtol)
+    return _rc(_LotkaData(as_parameter_set(params), kernel), rtol)
 
 
 def dominant_growth_rate(
@@ -111,13 +110,27 @@ def dominant_growth_rate(
     """Unique real root of G(lam) = 1 of the monotone G, to |G - 1| <= tol.
 
     The initial bracket [-2 max(mu+phi+gamma), max beta] is grown
-    geometrically until it straddles the root, which Chandrupatla's
-    bracketed method then refines.
+    geometrically until it straddles the root.  Chandrupatla's bracketed
+    method then solves 1 - 1/G(lam) = 0, which is linear in lam for
+    constant rates and nearly so otherwise, and which is 1 where G
+    overflows; it stops at |1 - 1/G| <= tol / (1 + tol), which gives
+    |G - 1| <= tol.
     """
+    return _growth_rate(_LotkaData(as_parameter_set(params), kernel), tol)
+
+
+def _r0(data: _LotkaData, rtol: float = 1e-8) -> float:
+    return _richardson(lambda d: d.g_value(0.0), data, rtol)
+
+
+def _rc(data: _LotkaData, rtol: float = 1e-8) -> float:
+    return _richardson(lambda d: d.rc_value(), data, rtol)
+
+
+def _growth_rate(data: _LotkaData, tol: float) -> float:
     if tol <= 0:
         raise ParameterError("tol must be positive")
-    params = as_parameter_set(params)
-    data = _LotkaData(params, kernel)
+    params = data.params
     # quadrature noise one decade below the residual target suffices
     rtol = max(min(tol * 1e-1, 1e-9), 1e-12)
 
@@ -131,6 +144,9 @@ def dominant_growth_rate(
             if abs(exc.best - 1.0) > 1e-3:
                 return exc.best
             raise
+
+    def f(g_value):
+        return 1.0 - 1.0 / g_value if g_value > 0.0 else -math.inf
 
     if params.beta.max_value() <= 0:
         raise NumericsError("beta vanishes identically; G has no root")
@@ -149,17 +165,21 @@ def dominant_growth_rate(
             raise NumericsError("bracket for the growth rate grew beyond 1e6/year")
         g_hi = g(hi)
     root, _ = bracketed_root(
-        lambda lam: g(lam) - 1.0, lo, hi, g_lo - 1.0, g_hi - 1.0, tol, "growth-rate"
+        lambda lam: f(g(lam)), lo, hi, f(g_lo), f(g_hi), tol / (1.0 + tol), "growth-rate"
     )
     return root
 
 
 def classify(params, kernel: DemographicKernel, tol: float = 1e-8) -> ThresholdReport:
-    """Assemble R0, RC, the dominant growth rate, and the region label."""
-    params = as_parameter_set(params)
-    r0_value = r0(params, kernel)
-    rc_value = rc(params, kernel)
-    growth = dominant_growth_rate(params, kernel, tol)
+    """Assemble R0, RC, the dominant growth rate, and the region label.
+
+    The three share one set of grid samples and one chain of refined
+    kernels.
+    """
+    data = _LotkaData(as_parameter_set(params), kernel)
+    r0_value = _r0(data)
+    rc_value = _rc(data)
+    growth = _growth_rate(data, tol)
     if rc_value < 1.0:
         region = "extinction"
     elif r0_value > 1.0:

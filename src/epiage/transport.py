@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demography import stationary_mixing, total_population
+from .demography import population_on, stationary_mixing
 from .errors import ParameterError, ShapeError, TimeStepError
 from .grids import GridSpec, QuadratureGrid
 from .parameters import as_parameter_set
@@ -129,8 +129,8 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
         pointwise with i0(0) = r0(0) = 0.
     n0: the initial total population.  None weights the pressure with the
         stationary mixing density (the population starts at demographic
-        steady state); a profile rebuilds the density every step from
-        ``total_population(params, n0, t, ages)``.
+        steady state); a profile rebuilds the density every step from the
+        total population ``population_on(params, n0, ages)`` at that time.
     store: "auto" or a stride int controlling rows kept ("full" is the
         same as 1; the final row and every monitor are always exact).
     """
@@ -162,6 +162,7 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
         density = stationary_mixing(params, quad).density
     else:
         contact = params.contact(nodes)
+        population = population_on(params, n0, nodes)
 
     beta, rho = params.beta(nodes), params.rho(nodes)
     exit_pressure = params.phi(nodes) + params.gamma(nodes)
@@ -185,7 +186,7 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
     time_nodes = grid.time_nodes()
     for j in range(n_time + 1):
         if n0 is not None:
-            weighted = contact * total_population(params, n0, time_nodes[j], nodes)
+            weighted = contact * population(time_nodes[j])
             norm = float(weights @ weighted)
             if not norm > 0:
                 raise ParameterError("mixing normalization vanished mid-run")

@@ -53,9 +53,14 @@ class TestSweep:
             sweep(rates_bistable, "beta", [60.0, 0.011])
 
     def test_row_count_preserved_on_failure(self, rates_bistable):
-        # rho = 0 breaks the quadratic path; the row records the error
-        rows = sweep(rates_bistable, "rho", [1e-308])
-        assert len(rows) == 1
+        # mu = 1e-12 leaves survival too slow to truncate, so no kernel can
+        # be built; that row records the error and the next row still runs
+        rows = sweep(rates_bistable, "mu", [1e-12, 0.0125])
+        assert len(rows) == 2
+        assert "survival decays too slowly to truncate" in rows[0].error
+        assert rows[0].branches == ()
+        assert rows[1].error is None
+        assert len(rows[1].branches) == 2
 
     def test_general_path_age_dependent(self):
         params = ParameterSet(

@@ -138,7 +138,7 @@ SUBCOMMAND_STDOUT = {
     "steady": [
         "wrote OUT/report.txt",
         "wrote OUT/steady_states.csv",
-        "fixed point B* = 0.0007608131992 (residual 4.5e-14)",
+        "fixed point B* = 0.0007608131993 (residual 4.6e-14)",
         "fixed point B* = 0.04648682198 (residual 1e-13)",
     ],
     "bifurcation": [

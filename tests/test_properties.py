@@ -5,9 +5,12 @@ s + i + r to roundoff and keeps every fraction nonnegative, with the
 stationary mixing density and with one rebuilt from a random initial
 population ``n0``.  A grid the gate rejects is rejected by ``simulate``.
 A trajectory written to CSV reads back bit for bit, and its bytes are
-those of formatting every value by itself.
+those of formatting every value by itself.  The stage integrals psi_m of
+the exponential sweep are correct to a few ulp on both branches.
 """
 
+import sys
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -24,6 +27,7 @@ from epiage import (
     simulate,
     stable_timestep,
 )
+from epiage._sweep import _SERIES_RANGE, _psi
 from epiage.io import read_trajectory, write_trajectory
 
 
@@ -141,3 +145,44 @@ def test_trajectory_csv_round_trip_is_bit_exact(tmp_path_factory, field, block_r
 def test_large_trajectory_csv_round_trip_is_bit_exact(tmp_path_factory, field):
     """7000-14400 rows: the writer's own block boundary falls inside most fields."""
     check_csv_round_trip(tmp_path_factory.mktemp("csv"), field)
+
+
+def psi_reference(x, m):
+    """psi_m(x) to 40 digits from a series of positive terms.
+
+    x <= 0: sum_j |x|^j m!/(m+j+1)!.  x > 0: psi_m(x) = e^{-x} int_0^1
+    s^m e^{xs} ds = e^{-x} sum_j x^j / (j! (m+j+1)).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        y = abs(Decimal(x))
+        total, power, j = Decimal(0), Decimal(1), 0
+        while True:
+            # power is |x|^j m!/(m+j)! for x <= 0 and x^j / j! for x > 0
+            term = power / (m + j + 1)
+            total += term
+            power = power * y / (m + j + 1 if x <= 0 else j + 1)
+            j += 1
+            if j > y and term < total * Decimal("1e-40"):
+                break
+        return total if x <= 0 else total * (-y).exp()
+
+
+# both ends of the series range, x near 0, and |x| up to 700, where e^|x|
+# nears the largest double
+LO, HI = _SERIES_RANGE
+psi_arguments = (
+    st.floats(-700.0, 700.0)
+    | st.floats(LO - 0.5, LO + 0.5)
+    | st.floats(HI - 0.5, HI + 0.5)
+    | st.floats(-1e-3, 1e-3)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=psi_arguments)
+def test_psi_within_4_ulp_of_series_reference(x):
+    values = _psi(np.array([x]))[:, 0]
+    for m in range(4):
+        exact = psi_reference(x, m)
+        assert abs(Decimal(values[m]) - exact) <= 4 * Decimal(sys.float_info.epsilon) * exact, m

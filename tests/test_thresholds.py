@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epiage import thresholds
 from epiage import (
     ConstantRates,
     NumericsError,
@@ -122,6 +123,35 @@ class TestDominantGrowthRate:
             # the analytic constant-rate root, exact on the unbounded domain
             assert lam == pytest.approx(analytic_growth(rates), abs=5e-4)
 
+    @pytest.mark.parametrize("regime", ["bistable", "endemic"])
+    def test_few_evaluations_and_residual_within_tol(self, regime, request, monkeypatch):
+        # 1 - 1/G is linear in lam for constant rates, so the bracketed
+        # solve needs few G evaluations (17-19 when it solved G - 1 = 0)
+        rates = request.getfixturevalue(f"rates_{regime}")
+        kernel = request.getfixturevalue(f"kernel_{regime}")
+        g_value = thresholds._LotkaData.g_value
+        calls = []
+
+        def counted(data, lam):
+            calls.append(lam)
+            return g_value(data, lam)
+
+        monkeypatch.setattr(thresholds._LotkaData, "g_value", counted)
+        tol = 1e-8
+        lam = dominant_growth_rate(rates, kernel, tol=tol)
+        assert len(calls) <= 10
+        assert abs(euler_lotka(lam, rates, kernel, rtol=1e-10) - 1.0) <= tol
+
+    def test_vanishing_g_bounds_the_bracket(self, rates_bistable, kernel_bistable, monkeypatch):
+        # a G that underflows to 0 counts as far below 1, not as a division error
+        g_value = thresholds._LotkaData.g_value
+        monkeypatch.setattr(
+            thresholds._LotkaData, "g_value",
+            lambda data, lam: 0.0 if lam >= 0.0 else g_value(data, lam),
+        )
+        lam = dominant_growth_rate(rates_bistable, kernel_bistable)
+        assert lam == pytest.approx(-13.0125, abs=1e-4)
+
     def test_invariant_under_refinement(self, rates_bistable, kernel_bistable, rates_endemic):
         from epiage import refine_kernel
 
@@ -161,6 +191,27 @@ class TestClassify:
         assert classify(rates_extinction, kernel_extinction).region == "extinction"
         assert classify(rates_bistable, kernel_bistable).region == "bistable-candidate"
         assert classify(rates_endemic, kernel_endemic).region == "endemic"
+
+    def test_one_refinement_chain(self, rates_bistable, kernel_bistable, monkeypatch):
+        # classify gives the public functions' values bit for bit, and its
+        # three quantities share one chain of refined kernels
+        refine = thresholds.refine_kernel
+        calls = []
+
+        def counted(params, kernel):
+            calls.append(kernel.ages.size)
+            return refine(params, kernel)
+
+        monkeypatch.setattr(thresholds, "refine_kernel", counted)
+        alone, depths = [], []
+        for compute in (r0, rc, dominant_growth_rate):
+            calls.clear()
+            alone.append(compute(rates_bistable, kernel_bistable))
+            depths.append(len(calls))
+        calls.clear()
+        report = classify(rates_bistable, kernel_bistable)
+        assert (report.r0, report.rc, report.growth_rate) == tuple(alone)
+        assert len(calls) == max(depths)
 
     def test_report_fields_consistent(self, rates_bistable, kernel_bistable):
         report = classify(rates_bistable, kernel_bistable)
