@@ -2,38 +2,51 @@
 
 Each swept value yields a diagram row: the reproduction number plus every
 endemic branch (fixed-point pressure and its infected age profile), with
-an optional empirical stability tag.  Rows whose rates are all constant
-take R0 and the branches from the closed forms and check them against the
-general fixed-point solver; other rows use the general solver alone.
-Stability is operational: perturb the steady profile by ``PROBE_EPSILON``
-relative both ways, simulate, and ask whether the pressure returns to the
-fixed point.
+an optional stability tag.  Rows whose rates are all constant take R0 and
+the branches from the closed forms and check them against the general
+fixed-point solver; other rows use the general solver alone.  Stability
+is that of the upwind transport scheme itself: the probe finds the
+scheme's own equilibrium next to the branch and counts the eigenvalues of
+its one-step map, linearised there, that lie outside the unit disk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _sweep
+from ._roots import bracketed_root
 from .closed_forms import closed_form_profiles, fixed_points_exact, r0_rc_exact
-from .config import cosine_bump
-from .demography import analysis_kernel
-from .errors import ModelError, ParameterError
-from .grids import GridSpec
+from .demography import analysis_kernel, stationary_mixing
+from .errors import ModelError, NumericsError, ParameterError
+from .grids import GridSpec, QuadratureGrid
 from .parameters import as_parameter_set
 from .steady import SteadyState, find_fixed_points
 from .thresholds import r0 as _r0
-from .transport import auto_time_steps, simulate
+from .transport import auto_time_steps
 
 #: |B_general - B_quadratic| beyond this fails a constant-rate cross-check
 _CROSS_CHECK_TOL = 1e-8
 
-PROBE_EPSILON = 0.05
-PROBE_HORIZON = 5.0
-#: the probe simulates 0-200 years of age on 4000 cells of 0.05 years
+#: the probe linearises the scheme on 0-200 years of age, 4000 cells of
+#: 0.05 years, at the time step ``time_steps = auto`` takes over one year
 _PROBE_AGE_MAX = 200.0
 _PROBE_AGE_STEPS = 4000
+#: the scheme's equilibrium is solved to |excess| <= this
+_PROBE_TOL = 1e-10
+#: the walk from b* to the scheme's equilibrium: first and last log step
+_WALK_STEP = 0.01
+_WALK_REACH = 20.0
+#: f is first sampled at this many points of the upper half circle, then
+#: between every two neighbours whose arg differs by more than pi/2
+_CIRCLE_POINTS = 9
+#: circle points evaluated together, which bounds the probe's memory
+_CIRCLE_BATCH = 2
+#: more circle points than this means f has a zero on or next to the circle
+_CIRCLE_MAX = 1025
 
 
 @dataclass(frozen=True)
@@ -52,47 +65,168 @@ class DiagramRow:
     error: str | None = None
 
 
-def stability_probe(params, steady: SteadyState) -> str:
-    """Tag a steady state by perturb-and-resimulate.
+def _linear_recurrence(a, b):
+    """y_k = a_k y_{k-1} + b_k from y_{-1} = 0 along the last axis.
 
-    The infected profile is scaled by (1 +- PROBE_EPSILON) with the
-    susceptible fraction absorbing the change; the state is stable when
-    the pressure ends within PROBE_EPSILON/2 of the fixed point for both
-    signs after ``PROBE_HORIZON`` years, on a 0.05-year grid over ages
-    0-200.  The infection-free state (b_star == 0) is probed with a small
-    additive bump instead, and is stable when the induced pressure at the
-    horizon has at least halved.
+    A doubling scan: log2(n) passes, each folding in the partial solution
+    from twice as far back.  For z on the unit circle every |a_k| <= 1,
+    so the running products only shrink.
+    """
+    a, y = a.copy(), b.copy()
+    d = 1
+    while d < y.shape[-1]:
+        y[..., d:] += a[..., d:] * y[..., :-d]
+        a[..., d:] *= a[..., :-d]
+        d *= 2
+    return y
+
+
+class _UpwindScheme:
+    """The upwind scheme on the probe grid, for a frozen and a linearised pressure.
+
+    Arrays hold the interior nodes 1..n; node 0 is the fixed inflow
+    boundary s = 1, i = r = 0.
+    """
+
+    def __init__(self, params):
+        quad = QuadratureGrid.uniform(_PROBE_AGE_MAX, _PROBE_AGE_STEPS)
+        steps = auto_time_steps(params, _PROBE_AGE_MAX, 1.0, _PROBE_AGE_STEPS)
+        grid = GridSpec(_PROBE_AGE_MAX, 1.0, _PROBE_AGE_STEPS, steps)
+        ages = quad.nodes[1:]
+        self.da, self.dt = grid.da, grid.dt
+        # B = sum_k c_k i_k, the pressure quadrature of ``simulate``
+        self.c = (quad.weights * stationary_mixing(params, quad).density)[1:]
+        self.beta = params.beta(ages)
+        self.exit = params.exit_pressure()(ages)
+        self.rho = params.rho(ages)
+
+    def equilibrium(self, B: float):
+        """(s, i, r) of the scheme's steady state under frozen pressure B.
+
+        It does not depend on dt: s_k = s_{k-1} / (1 + da beta_k B) and
+        r_k = (r_{k-1} + da e_k (1 - s_k)) / (1 + da (e_k + rho_k B)) with
+        e = phi + gamma, since s + i + r = 1 holds exactly.
+        """
+        da = self.da
+        log_s = -np.cumsum(np.log1p(da * B * self.beta))
+        decay = np.log1p(da * (self.exit + B * self.rho))
+        infected_or_recovered = -np.expm1(log_s)
+        q = da * self.exit * infected_or_recovered * np.exp(-decay)
+        r = _sweep.propagate(q, np.concatenate([[0.0], np.cumsum(decay)]))[1:]
+        return np.exp(log_s), infected_or_recovered - r, r
+
+    def excess(self, B: float) -> float:
+        value = float(self.c @ self.equilibrium(B)[1]) / B - 1.0
+        if not math.isfinite(value):
+            raise NumericsError(f"scheme excess is not finite at B = {B!r}")
+        return value
+
+    def characteristic(self, theta, B: float, s, r):
+        """f(z) = 1 - c^T (zI - A)^{-1} u at z = exp(i theta).
+
+        J = A + u c^T is the one-step map linearised about (s, r) under B:
+        A at frozen pressure, u = dt d(step)/dB.  The node sums of
+        (zI - A)^{-1} u vanish, as s + i + r is conserved, so its s and r
+        parts are two recurrences and its i part their negated sum.
+        """
+        dt, lam = self.dt, self.dt / self.da
+        z = np.exp(1j * np.asarray(theta))[:, None]
+        den = z - (1.0 - lam - dt * B * self.beta)
+        y_s = _linear_recurrence(lam / den, -dt * self.beta * s / den)
+        den = z - (1.0 - lam - dt * (self.exit + B * self.rho))
+        y_r = _linear_recurrence(lam / den, -dt * (self.exit * y_s + self.rho * r) / den)
+        return 1.0 + (y_s + y_r) @ self.c
+
+    def unstable_count(self, B: float, s, r) -> int:
+        """Eigenvalues of J outside the unit disk, as the winding number of f.
+
+        A's spectrum lies in [0, 1 - dt/da] under the positivity gate, so
+        J has an eigenvalue z outside the disk exactly where f(z) = 0, and
+        f(infinity) = 1.  As f(conj z) = conj f(z), the arg change of f over
+        the upper half circle, from z = 1 to z = -1, is half the total.
+        """
+
+        def f(theta):
+            return np.concatenate([
+                self.characteristic(theta[k : k + _CIRCLE_BATCH], B, s, r)
+                for k in range(0, theta.size, _CIRCLE_BATCH)
+            ])
+
+        theta = np.linspace(0.0, math.pi, _CIRCLE_POINTS)
+        values = f(theta)
+        while True:
+            if theta.size > _CIRCLE_MAX or not np.all(np.isfinite(values) & (values != 0.0)):
+                raise NumericsError("the characteristic function vanishes on the unit circle")
+            steps = np.angle(values[1:] / values[:-1])
+            wide = np.abs(steps) > 0.5 * math.pi
+            if not np.any(wide):
+                return -round(float(np.sum(steps)) / math.pi)
+            middle = 0.5 * (theta[:-1] + theta[1:])[wide]
+            theta = np.concatenate([theta, middle])
+            values = np.concatenate([values, f(middle)])
+            order = np.argsort(theta)
+            theta, values = theta[order], values[order]
+
+
+def _scheme_root(excess, b_star: float):
+    """The scheme's equilibrium next to b_star, or None.
+
+    The excess slope at b_star gives the branch's crossing direction.  The
+    walk follows the excess from b_star towards zero in log steps that
+    double, up to a factor e^_WALK_REACH; the first sign change is refined
+    by ``bracketed_root``.  When |excess| stops falling before it changes
+    sign, the scheme has no root of that direction there (the grid misses
+    the fold) and the walk returns None.
+    """
+    b0, e0 = b_star, excess(b_star)
+    if e0 == 0.0:
+        return b_star
+    step = _WALK_STEP
+    b1 = b_star * math.exp(step)
+    e1 = excess(b1)
+    if e1 == e0:
+        return None
+    toward = 1.0 if (e1 > e0) == (e0 < 0.0) else -1.0
+    if toward < 0.0:
+        b1 = b_star * math.exp(-step)
+        e1 = excess(b1)
+    while True:
+        if e1 == 0.0:
+            return b1
+        if (e1 < 0.0) != (e0 < 0.0):
+            (lo, f_lo), (hi, f_hi) = sorted([(b0, e0), (b1, e1)])
+            root, _ = bracketed_root(excess, lo, hi, f_lo, f_hi, _PROBE_TOL, "scheme equilibrium")
+            return root
+        if abs(e1) >= abs(e0) or b1 == 1.0 or step >= _WALK_REACH:
+            return None
+        step *= 2.0
+        b0, e0 = b1, e1
+        b1 = min(1.0, b_star * math.exp(toward * step))
+        e1 = excess(b1)
+
+
+def stability_probe(params, steady: SteadyState) -> str:
+    """Stability of a steady state under the upwind transport scheme.
+
+    On the probe grid (ages 0-200 in 4000 cells, the automatic time step
+    for one year) the scheme's equilibrium next to ``steady.b_star``
+    is solved without time stepping, and the eigenvalues of the one-step
+    map linearised there are counted outside the unit disk: "stable" for
+    none, "unstable" otherwise.  The infection-free state (b_star == 0) is
+    counted at B = 0, s = 1, r = 0.  "untested" when the grid has no
+    equilibrium of the branch's crossing direction next to b_star, or a
+    model error stops the probe.
     """
     params = as_parameter_set(params)
-    n_time = auto_time_steps(params, _PROBE_AGE_MAX, PROBE_HORIZON, _PROBE_AGE_STEPS)
-    grid = GridSpec(_PROBE_AGE_MAX, PROBE_HORIZON, _PROBE_AGE_STEPS, n_time)
-    nodes = grid.age_nodes()
-
     try:
-        if steady.b_star == 0.0:
-            width = _PROBE_AGE_MAX / 2.0
-            i0 = cosine_bump(nodes, PROBE_EPSILON, width, width)
-            traj = simulate(
-                params, (1.0 - i0, i0, np.zeros_like(nodes)), grid, store=n_time
-            )
-            return "stable" if traj.b_series[-1] <= 0.5 * traj.b_series[0] else "unstable"
-        band = 0.5 * PROBE_EPSILON * steady.b_star
-        for sign in (+1.0, -1.0):
-            i0 = np.interp(nodes, steady.ages, steady.i) * (1.0 + sign * PROBE_EPSILON)
-            r0_row = np.interp(nodes, steady.ages, steady.r)
-            i0[0] = 0.0
-            r0_row[0] = 0.0
-            s0 = 1.0 - i0 - r0_row
-            # where s* is already ~0 the recovered pool absorbs the bump
-            deficit = np.minimum(s0, 0.0)
-            r0_row = r0_row + deficit
-            s0 = s0 - deficit
-            if r0_row.min() < 0:
-                raise ParameterError("perturbation exceeds the recovered pool")
-            traj = simulate(params, (s0, i0, r0_row), grid, store=n_time)
-            if abs(traj.b_series[-1] - steady.b_star) > band:
-                return "unstable"
-        return "stable"
+        scheme = _UpwindScheme(params)
+        B = 0.0
+        if steady.b_star != 0.0:
+            B = _scheme_root(scheme.excess, steady.b_star)
+            if B is None:
+                return "untested"
+        s, _, r = scheme.equilibrium(B)
+        return "stable" if scheme.unstable_count(B, s, r) == 0 else "unstable"
     except ModelError:
         return "untested"
 

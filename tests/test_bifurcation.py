@@ -1,16 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from epiage import (
     ConstantRates,
+    GridSpec,
     ParameterError,
     ParameterSet,
     SteadyState,
+    analysis_kernel,
+    closed_form_profiles,
     find_fixed_points,
     fixed_points_exact,
+    simulate,
     stability_probe,
     sweep,
 )
+from epiage.parameters import as_parameter_set
 
 
 class TestSweep:
@@ -89,7 +96,30 @@ class TestSweep:
             assert values == pytest.approx(oracle, abs=1e-12)
 
 
-@pytest.mark.slow
+def drinking_rates(beta):
+    return ConstantRates(mu=0.0125, beta=beta, phi=60.0, gamma=13.0, rho=76.65)
+
+
+def closed_form_states(rates):
+    """The exact branches of ``rates`` on the analysis grid."""
+    ages = analysis_kernel(rates).ages
+    return [
+        SteadyState(b, ages, *closed_form_profiles(b, rates, ages), residual=0.0)
+        for b in fixed_points_exact(rates)
+    ]
+
+
+def with_inflow_node(s, i, r):
+    """Interior-node rows of the probe scheme with the inflow node s = 1 prepended."""
+    return tuple(np.concatenate([[edge], row]) for edge, row in zip((1.0, 0.0, 0.0), (s, i, r)))
+
+
+def infection_free_state(ages):
+    return SteadyState(
+        0.0, ages, np.ones_like(ages), np.zeros_like(ages), np.zeros_like(ages), 0.0
+    )
+
+
 class TestStabilityProbe:
     def test_bistable_pair_tags(self, rates_bistable, kernel_bistable):
         small, large = find_fixed_points(rates_bistable, kernel_bistable)
@@ -99,37 +129,128 @@ class TestStabilityProbe:
     def test_infection_free_state_stable_below_threshold(
         self, rates_extinction, kernel_extinction
     ):
-        ages = kernel_extinction.ages
-        zero = SteadyState(
-            b_star=0.0,
-            ages=ages,
-            s=np.ones_like(ages),
-            i=np.zeros_like(ages),
-            r=np.zeros_like(ages),
-            residual=0.0,
-        )
+        zero = infection_free_state(kernel_extinction.ages)
         assert stability_probe(rates_extinction, zero) == "stable"
 
-    def test_probe_runs_keep_first_and_last_rows(
-        self, monkeypatch, rates_bistable, kernel_bistable
+    def test_infection_free_state_unstable_above_threshold(
+        self, rates_endemic, kernel_endemic
     ):
-        """The probe reads only b_series, so each run stores just two rows."""
+        zero = infection_free_state(kernel_endemic.ages)
+        assert stability_probe(rates_endemic, zero) == "unstable"
+
+    def test_upper_branch_stable_where_scheme_sits_below_b_star(self):
+        """At beta 30 the scheme's upper equilibrium is 2.5% below b*."""
+        (row,) = sweep(drinking_rates(30.0), "beta", [30.0], probe=True)
+        assert row.error is None
+        assert [branch.stability for branch in row.branches] == ["unstable", "stable"]
+
+    def test_no_unstable_tag_where_the_grid_misses_the_fold(self):
+        """At beta 17.5 the model has two branches and the probe grid none."""
+        rates = drinking_rates(17.5)
+        tags = [stability_probe(rates, state) for state in closed_form_states(rates)]
+        assert len(tags) == 2
+        assert "unstable" not in tags
+
+    def test_pair_near_the_fold(self):
+        rates = drinking_rates(19.0)
+        lower, upper = closed_form_states(rates)
+        assert stability_probe(rates, lower) == "unstable"
+        assert stability_probe(rates, upper) == "stable"
+
+    def test_probe_runs_no_simulation(self, monkeypatch, rates_bistable, kernel_bistable):
         import epiage.bifurcation as bifurcation
+        import epiage.transport as transport
 
-        original = bifurcation.simulate
-        kept = []
+        def refuse(*args, **kwargs):
+            raise AssertionError("stability_probe ran a simulation")
 
-        def recording(*args, **kwargs):
-            trajectory = original(*args, **kwargs)
-            kept.append(trajectory.field.times.size)
-            return trajectory
+        monkeypatch.setattr(transport, "simulate", refuse)
+        monkeypatch.setattr(bifurcation, "simulate", refuse, raising=False)
+        small, large = find_fixed_points(rates_bistable, kernel_bistable)
+        zero = infection_free_state(kernel_bistable.ages)
+        tags = [stability_probe(rates_bistable, state) for state in (zero, small, large)]
+        assert tags == ["stable", "unstable", "stable"]
 
-        monkeypatch.setattr(bifurcation, "simulate", recording)
-        _, large = find_fixed_points(rates_bistable, kernel_bistable)
-        ages = kernel_bistable.ages
-        zero = SteadyState(
-            0.0, ages, np.ones_like(ages), np.zeros_like(ages), np.zeros_like(ages), 0.0
-        )
-        assert stability_probe(rates_bistable, large) == "stable"
-        assert stability_probe(rates_bistable, zero) == "stable"
-        assert kept == [2, 2, 2]
+    def test_probe_memory_peak(self):
+        rates = drinking_rates(45.0)
+        _, upper = closed_form_states(rates)
+        tracemalloc.start()
+        try:
+            tag = stability_probe(rates, upper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tag == "stable"
+        assert peak <= 1.5e6
+
+    def test_count_matches_dense_step_map(self, monkeypatch):
+        """f(z) = det(zI - J) / det(zI - A), and the count is that of the
+        eigenvalues of J outside the unit disk, with J the Jacobian of the
+        transport step on a 30-cell grid and A the same at frozen pressure."""
+        import epiage.bifurcation as bifurcation
+        from epiage.transport import _step_arrays
+
+        monkeypatch.setattr(bifurcation, "_PROBE_AGE_MAX", 1.5)
+        monkeypatch.setattr(bifurcation, "_PROBE_AGE_STEPS", 30)
+        scheme = bifurcation._UpwindScheme(as_parameter_set(drinking_rates(45.0)))
+        rates = [np.concatenate([[0.0], x]) for x in (scheme.beta, scheme.exit, scheme.rho)]
+        theta = np.array([0.0, 0.7, 2.0, np.pi])
+
+        def step(x, pressure=None):
+            s, i, r = with_inflow_node(*np.split(x, 3))
+            if pressure is None:
+                pressure = scheme.c @ i[1:]
+            new = _step_arrays(s, i, r, pressure, scheme.dt, scheme.da, *rates)
+            return np.concatenate([part[1:] for part in new])
+
+        def jacobian(g, x, h=1e-6):
+            columns = [(g(x + h * e) - g(x - h * e)) / (2 * h) for e in np.eye(x.size)]
+            return np.column_stack(columns)
+
+        def ratio(z, J, A):
+            (sign_j, log_j), (sign_a, log_a) = (
+                np.linalg.slogdet(z * np.eye(len(M)) - M) for M in (J, A)
+            )
+            return sign_j / sign_a * np.exp(log_j - log_a)
+
+        # an endemic state, and the infection-free one with a mixing weight
+        # large enough to push an eigenvalue of J out of the disk
+        for c_scale, frozen in ((1.0, 0.04), (10.0, 0.0)):
+            scheme.c = scheme.c * c_scale
+            s, i, r = scheme.equilibrium(frozen)
+            x = np.concatenate([s, i, r])
+            B = scheme.c @ i
+            J = jacobian(step, x)
+            A = jacobian(lambda y: step(y, B), x)
+            f = scheme.characteristic(theta, B, s, r)
+            expected = [ratio(z, J, A) for z in np.exp(1j * theta)]
+            np.testing.assert_allclose(f, expected, rtol=1e-7)
+            outside = int(np.sum(np.abs(np.linalg.eigvals(J)) > 1.0))
+            assert scheme.unstable_count(B, s, r) == outside
+            assert outside == (1 if c_scale > 1.0 else 0)
+
+
+@pytest.mark.slow
+def test_simulate_agrees_with_the_count():
+    """+-5% about the scheme's own equilibrium at beta 45, run for 5 years on
+    the probe grid: the upper branch returns, the lower one leaves."""
+    import epiage.bifurcation as bifurcation
+
+    rates = drinking_rates(45.0)
+    scheme = bifurcation._UpwindScheme(as_parameter_set(rates))
+    n_age = bifurcation._PROBE_AGE_STEPS
+    age_max = bifurcation._PROBE_AGE_MAX
+    # the probe's own time step, for 5 years
+    grid = GridSpec(age_max, 5.0, n_age, 5 * round(1.0 / scheme.dt))
+    lower, upper = fixed_points_exact(rates)
+    for b_star, returns in ((lower, False), (upper, True)):
+        B = bifurcation._scheme_root(scheme.excess, b_star)
+        s, i, r = with_inflow_node(*scheme.equilibrium(B))
+        assert scheme.c @ i[1:] == pytest.approx(B, rel=1e-9)
+        for sign in (1.0, -1.0):
+            # the recovered pool absorbs the change in i
+            shifted = (s, (1.0 + sign * 0.05) * i, r - sign * 0.05 * i)
+            assert shifted[2].min() >= 0.0
+            end = simulate(rates, shifted, grid, store=grid.n_time).b_series[-1]
+            drift = abs(end / B - 1.0)
+            assert (drift <= 1e-3) if returns else (drift > 0.05)
