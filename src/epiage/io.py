@@ -5,10 +5,13 @@ row per record, fields separated by commas and lines ended by CRLF.
 Numbers are serialized with 17 significant digits so that re-reading a
 file reproduces the in-memory doubles bit-exactly; branch indices are
 integers and stability tags plain words, so no field is ever quoted.
-Rows are written in blocks, and within a block each distinct double of a
-column (keyed on its bits, so 0.0 and -0.0 stay apart) is formatted once:
-trajectory times repeat along a row, ages across rows, and untouched
-plateaus of s, i and r repeat bit for bit.
+Rows are written in blocks, and within a block each distinct double of
+the float columns (keyed on its bits, so 0.0 and -0.0 stay apart) is
+formatted once: trajectory times repeat along a row, ages across rows, and
+untouched plateaus of s, i and r repeat bit for bit.  The distinct values
+of a block get their digits from an exact product in numpy
+(``_g17.format17``); a value the product cannot decide falls back, alone,
+to ``'%.17g' %``, and every byte is that of ``'%.17g' %``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._g17 import format17
 from .errors import ShapeError
 from .thresholds import ThresholdReport
 from .transport import StateField
@@ -35,9 +39,10 @@ def _write_table(path, header, columns) -> Path:
     """Write ``header`` and the rows of equal-length ``(values, format)`` columns.
 
     Each format is a printf conversion: ``%.17g`` for floats, ``%d`` for
-    integers, ``%s`` for words.  A ``%.17g`` column is formatted once per
-    distinct bit pattern in each block of ``_BLOCK_ROWS`` rows; the bytes
-    are those of formatting every value.
+    integers, ``%s`` for words.  In each block of ``_BLOCK_ROWS`` rows the
+    ``%.17g`` columns are stacked, and each distinct bit pattern among them
+    is formatted once, by ``_g17.format17``; the bytes are those of
+    formatting every value with ``'%.17g' %``.
     """
     path = Path(path)
     arrays = [
@@ -45,27 +50,35 @@ def _write_table(path, header, columns) -> Path:
         for values, spec in columns
     ]
     specs = [spec for _, spec in columns]
+    floats = [j for j, spec in enumerate(specs) if spec == "%.17g"]
     n_rows = len(arrays[0])
     if any(len(array) != n_rows for array in arrays):
         raise ShapeError(f"columns differ in length: {[len(a) for a in arrays]}")
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         for start in range(0, n_rows, _BLOCK_ROWS):
+            blocks = [array[start : start + _BLOCK_ROWS] for array in arrays]
             cells = [
-                _cells(array[start : start + _BLOCK_ROWS], spec)
-                for array, spec in zip(arrays, specs)
+                None if spec == "%.17g" else [spec % value for value in block.tolist()]
+                for block, spec in zip(blocks, specs)
             ]
+            if floats:
+                for j, column in zip(floats, _float_cells([blocks[j] for j in floats])):
+                    cells[j] = column
             handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
     return path
 
 
-def _cells(block, spec) -> list:
-    """The formatted fields of one column block."""
-    if spec != "%.17g":
-        return [spec % value for value in block.tolist()]
-    bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-    distinct = np.array([spec % value for value in bits.view(float).tolist()], dtype=object)
-    return distinct[inverse].tolist()
+def _float_cells(blocks) -> list:
+    """The ``%.17g`` fields of equal-length float column blocks.
+
+    Each distinct bit pattern among them is formatted once; the temporary
+    arrays are freed on return, before the rows are joined.
+    """
+    stacked = np.stack(blocks)
+    bits, inverse = np.unique(stacked.view(np.uint64), return_inverse=True)
+    distinct = np.array(format17(bits.view(float)), dtype=object)
+    return [texts.tolist() for texts in distinct[inverse.reshape(stacked.shape)]]
 
 
 def write_report(path, report: ThresholdReport) -> Path:

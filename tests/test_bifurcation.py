@@ -157,6 +157,21 @@ class TestStabilityProbe:
         assert stability_probe(rates, lower) == "unstable"
         assert stability_probe(rates, upper) == "stable"
 
+    def test_walk_finds_the_close_root_pair_past_the_fold(self):
+        """At beta 18.2 the grid's roots near 0.02216 and 0.02428 both lie
+        inside one doubled walk step from the lower b* = 0.01592."""
+        import epiage.bifurcation as bifurcation
+
+        rates = drinking_rates(18.2)
+        lower, upper = closed_form_states(rates)
+        scheme = bifurcation._UpwindScheme(as_parameter_set(rates))
+        B = bifurcation._scheme_root(scheme.excess, lower.b_star)
+        assert B is not None
+        assert B == pytest.approx(0.02216, rel=1e-3)
+        assert scheme.excess(B * 0.999) < 0.0 < scheme.excess(B * 1.001)
+        assert stability_probe(rates, lower) == "unstable"
+        assert stability_probe(rates, upper) == "stable"
+
     def test_probe_runs_no_simulation(self, monkeypatch, rates_bistable, kernel_bistable):
         import epiage.bifurcation as bifurcation
         import epiage.transport as transport

@@ -6,11 +6,16 @@ stationary mixing density and with one rebuilt from a random initial
 population ``n0``.  A grid the gate rejects is rejected by ``simulate``.
 A trajectory written to CSV reads back bit for bit, and its bytes are
 those of formatting every value by itself.  The stage integrals psi_m of
-the exponential sweep are correct to a few ulp on both branches.
+the exponential sweep are correct to a few ulp on both branches.  The
+numpy formatter behind the CSV writer gives the bytes of ``'%.17g' %`` on
+raw bit patterns, on powers of ten and their neighbours, and on exact and
+near ties of the 18th digit.
 """
 
+import math
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -27,6 +32,7 @@ from epiage import (
     simulate,
     stable_timestep,
 )
+from epiage import _g17
 from epiage._sweep import _SERIES_RANGE, _psi
 from epiage.io import read_trajectory, write_trajectory
 
@@ -186,3 +192,90 @@ def test_psi_within_4_ulp_of_series_reference(x):
     for m in range(4):
         exact = psi_reference(x, m)
         assert abs(Decimal(values[m]) - exact) <= 4 * Decimal(sys.float_info.epsilon) * exact, m
+
+
+def printf_g17(values):
+    return ["%.17g" % value for value in values.tolist()]
+
+
+def exact_ties():
+    """Doubles whose 18th significant digit is an exact tie.
+
+    For odd M < 2^53 and j >= 1, M 2^-j = M 5^j 10^-j: when M 5^j has 18
+    digits, its last digit is 5 and nothing follows, so '%.17g' rounds half
+    to even.  Scaling by 10^t (M 5^t 2^(t-j), still a double while
+    M 5^t < 2^53) keeps the digits and moves the exponent.
+    """
+    ties = []
+    for j in range(2, 26):
+        low, high = -(-(10**17) // 5**j), (10**18 - 1) // 5**j
+        for m in {low, low + 1, (low + high) // 2, (low + high) // 2 + 1, high - 1, high}:
+            if m % 2 == 1 and m < 2**53:
+                ties += [m * 5**t * Fraction(2) ** (t - j) for t in range(j + 1) if m * 5**t < 2**53]
+    values = np.array([float(tie) for tie in ties])
+    assert all(Fraction(value) == tie for value, tie in zip(values.tolist(), ties))
+    return values
+
+
+# Doubles whose 18th-digit remainder lies within 1e-17 of one half without
+# being a tie, found by a modular search over M 2^q 10^p.  Without the
+# formatter's margin, the product's own rounding error sends the first two
+# the wrong way.
+NEAR_TIES = [
+    float.fromhex(text)
+    for text in (
+        "0x1.70f4d8d6e3f4cp-304",
+        "0x1.57a340eb5d4f1p-760",
+        "0x1.9ed2f8bb00613p+1001",
+        "0x1.24d23c932ad4fp+467",
+        "0x1.93360a1a0b62dp-744",
+        "0x1.e66c16bad73ddp+956",
+        "0x1.011f2d73116f4p+537",
+        "0x1.6e22db4568793p-247",
+        "0x1.fc6c26f899dd1p-951",
+    )
+]
+
+
+def test_near_ties_are_near_ties():
+    for value in NEAR_TIES:
+        digits = Fraction(value) * Fraction(10) ** (16 - math.floor(math.log10(value)))
+        assert 10**16 <= digits < 10**17
+        assert 0 < abs(digits - int(digits) - Fraction(1, 2)) < Fraction(1, 10**17)
+
+
+def edge_doubles():
+    """Powers of ten and their neighbours, extremes, large integers, ties."""
+    powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    integers = np.concatenate([np.arange(-40.0, 41.0) + c for c in (2.0**53, 1e16, 1e17)])
+    values = np.concatenate(
+        [
+            powers,
+            np.nextafter(powers, 0.0),
+            np.nextafter(powers, np.inf),
+            [5e-324, np.finfo(float).max],
+            integers,
+            exact_ties(),
+            NEAR_TIES,
+        ]
+    )
+    return np.concatenate([values, -values])
+
+
+def test_g17_matches_printf_on_edge_doubles():
+    values = edge_doubles()
+    assert _g17.format17(values) == printf_g17(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+    floats=st.lists(st.floats(), max_size=40),
+    chunk=st.integers(1, 9),
+)
+def test_g17_matches_printf(bits, floats, chunk):
+    """Raw bit patterns reach NaN payloads, infinities, subnormals and both
+    zeros; small chunks put chunk boundaries inside each draw."""
+    values = np.concatenate([np.array(bits, dtype=np.uint64).view(np.float64), floats])
+    with mock.patch("epiage._g17._CHUNK", chunk):
+        assert _g17.format17(values) == printf_g17(values)
