@@ -319,7 +319,8 @@ def _validate_initial(config: RunConfig):
 
 
 def _format_profile(profile: AgeProfile) -> str:
-    if profile.values.size == 1:
+    # a lone knot away from age 0 keeps its age, as the table it came from
+    if profile.values.size == 1 and profile.ages[0] == 0.0:
         return f"{profile.values[0]:.17g}"
     return ", ".join(
         f"{a:.17g}:{v:.17g}" for a, v in zip(profile.ages, profile.values)

@@ -45,6 +45,17 @@ class AgeProfile:
     def __setattr__(self, name, value):
         raise AttributeError("AgeProfile is immutable")
 
+    def __eq__(self, other):
+        """Equal knots and values (so configs compare by value)."""
+        if not isinstance(other, AgeProfile):
+            return NotImplemented
+        return np.array_equal(self.ages, other.ages) and np.array_equal(
+            self.values, other.values
+        )
+
+    def __hash__(self):
+        return hash((tuple(self.ages.tolist()), tuple(self.values.tolist())))
+
     @classmethod
     def constant(cls, value):
         return cls([0.0], [float(value)])

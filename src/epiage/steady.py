@@ -13,11 +13,19 @@ induced/assumed, continuously extended to B = 0 by the reproduction
 number, and endemic states are its unit crossings in (0, 1].
 
 ``find_fixed_points`` locates the crossings in three steps: a coarse
-geometric scan of the excess amplification - 1 over [1e-9, 1]; Brent's
-minimiser at each scanned local maximum below 0 (and local minimum above
-0), which turns a root pair hidden inside one probe interval into two
-sign changes; and Chandrupatla's bracketed method at each sign change,
-which stops once |amplification - 1| <= tol.
+geometric scan of the excess amplification - 1 from 1e-9 up to the
+a-priori bound B_cut above which no endemic state exists, and at most to
+1; Brent's minimiser at each scanned local maximum below 0 (and local
+minimum above 0), which turns a root pair hidden inside one probe
+interval into two sign changes; and Chandrupatla's bracketed method at
+each sign change, which stops once |amplification - 1| <= tol.
+
+The bound: with B frozen, i' = B (beta s + rho r) - (phi+gamma) i <=
+m B (1 - i) - e i for m = max(beta, rho) and e = min(phi+gamma), so
+i(a) < m B / (m B + e) at every age.  The pressure is a quadrature of i
+with nonnegative weights summing to one, so amplification(B) <
+m / (m B + e), which is at most 1 - delta from B_cut = 1/(1 - delta) - e/m
+on; when m <= (1 - delta) e there is no endemic state at all.
 """
 
 from __future__ import annotations
@@ -42,6 +50,9 @@ SMALL_PRESSURE = 1e-6
 #: the fixed-point scan starts here; roots below it are not found
 _SCAN_FLOOR = 1e-9
 _SCAN_POINTS = 48
+#: margin delta of the a-priori bound: beyond B_cut the excess is below
+#: -delta, far outside the sweep's discretisation error
+_BOUND_MARGIN = 1e-2
 #: Brent's minimiser: relative position tolerance sqrt(eps), golden section
 _EXTREMUM_RTOL = math.sqrt(sys.float_info.epsilon)
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
@@ -172,6 +183,24 @@ def amplification(B: float, params, kernel: DemographicKernel) -> float:
     return induced_pressure(B, params, kernel) / B
 
 
+def _scan_length(params, probes) -> int:
+    """Number of leading ``probes`` the scan needs.
+
+    That is every probe below B_cut and the first two at or beyond it, so
+    the extremum check at the first such probe sees its two neighbours;
+    every later check lies where amplification < 1 - delta and would find
+    no crossing.  The test (1 - delta)(m B + e) >= m is B >= B_cut without
+    the division by m, so m = 0 (no transmission, no relapse) gives two
+    probes and no root.
+    """
+    m = max(params.beta.max_value(), params.rho.max_value())
+    e = params.exit_pressure().min_value()
+    for k, B in enumerate(probes):
+        if (1.0 - _BOUND_MARGIN) * (m * B + e) >= m:
+            return k + 2
+    return len(probes)
+
+
 def _extremum_crossing(h, points, values):
     """First point where h <= 0 on Brent's descent from a bracketed minimum.
 
@@ -235,7 +264,10 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
 
     Scans the excess amplification - 1 on a coarse geometric set of
     probes from 1e-9 to 1 (bistable regimes have roots orders of
-    magnitude apart, so linear probing misses the small one).  At every
+    magnitude apart, so linear probing misses the small one), cut after
+    the second probe at or beyond the a-priori bound B_cut (see the module
+    docstring); the cut drops only probes and extremum checks that cannot
+    change the result, so the roots are those of the full scan.  At every
     interior probe where the scanned excess has a local maximum below 0
     (or a local minimum above 0), Brent's minimiser searches the two
     adjacent probe intervals for the extremum; when it finds the excess
@@ -257,6 +289,7 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
         return value
 
     probes = [float(B) for B in np.geomspace(_SCAN_FLOOR, 1.0, _SCAN_POINTS)]
+    probes = probes[: _scan_length(params, probes)]
     values = [excess(B) for B in probes]
     samples = list(zip(probes, values))
     for k in range(1, len(probes) - 1):

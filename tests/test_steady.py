@@ -23,6 +23,19 @@ def drinking_rates(beta):
     return ConstantRates(mu=0.0125, beta=beta, phi=60.0, gamma=13.0, rho=76.65)
 
 
+def count_sweeps(monkeypatch):
+    """List that gains one entry per ``exp_sweep`` call of the steady solver."""
+    calls = []
+    sweep = _sweep.exp_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(steady._sweep, "exp_sweep", counted)
+    return calls
+
+
 class TestProfiles:
     def test_susceptible_no_pressure(self, rates_bistable):
         ages = np.linspace(0, 50, 11)
@@ -180,16 +193,36 @@ class TestFindFixedPoints:
         assert states[1].b_star == pytest.approx(0.0233877, abs=1e-7)
 
     def test_profile_sweeps_per_solve(self, rates_bistable, kernel_bistable, monkeypatch):
-        calls = []
-        sweep = _sweep.exp_sweep
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return sweep(*args, **kwargs)
-
-        monkeypatch.setattr(steady._sweep, "exp_sweep", counted)
+        calls = count_sweeps(monkeypatch)
         assert len(find_fixed_points(rates_bistable, kernel_bistable)) == 2
         assert len(calls) <= 150
+
+    def test_scan_stops_past_the_pressure_bound(self, rates_bistable, kernel_bistable, monkeypatch):
+        # max(beta, rho) = 76.65 against phi + gamma = 73: no endemic state
+        # above B_cut = 1/0.99 - 73/76.65 = 0.058, so the probes beyond the
+        # second one past it go; the full 48-probe scan takes 58 sweeps
+        calls = count_sweeps(monkeypatch)
+        states = find_fixed_points(rates_bistable, kernel_bistable)
+        assert [state.b_star for state in states] == pytest.approx(
+            fixed_points_exact(rates_bistable), abs=1e-8
+        )
+        assert len(calls) < 58
+
+    def test_no_scan_where_the_bound_rules_out_every_state(self, monkeypatch):
+        # max(beta, rho) = 50 <= 0.99 (phi + gamma): amplification < 1 at
+        # every B, so two probes settle it; the full scan takes 64 sweeps
+        rates = ConstantRates(mu=0.0125, beta=40.0, phi=60.0, gamma=13.0, rho=50.0)
+        kernel = analysis_kernel(rates)
+        calls = count_sweeps(monkeypatch)
+        assert find_fixed_points(rates, kernel) == []
+        assert len(calls) <= 2
+
+    def test_no_transmission_and_no_relapse(self, monkeypatch):
+        rates = ConstantRates(mu=0.0125, beta=0.0, phi=60.0, gamma=13.0, rho=0.0)
+        kernel = analysis_kernel(rates)
+        calls = count_sweeps(monkeypatch)
+        assert find_fixed_points(rates, kernel) == []
+        assert len(calls) <= 2
 
     def test_steady_state_invariants(self, rates_bistable, kernel_bistable):
         for state in find_fixed_points(rates_bistable, kernel_bistable):
