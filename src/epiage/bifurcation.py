@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sweep
-from ._roots import bracketed_root
+from ._roots import crossings
 from .closed_forms import closed_form_profiles, fixed_points_exact, r0_rc_exact
 from .demography import analysis_kernel, stationary_mixing
 from .errors import ModelError, NumericsError, ParameterError
 from .grids import GridSpec, QuadratureGrid
 from .parameters import as_parameter_set
-from .steady import SteadyState, _extremum_crossing, find_fixed_points
+from .steady import SteadyState, find_fixed_points
 from .thresholds import r0 as _r0
 from .transport import auto_time_steps
 
@@ -173,15 +173,14 @@ def _scheme_root(excess, b_star: float):
 
     The excess slope at b_star gives the branch's crossing direction.  The
     walk follows the excess from b_star towards zero in log steps that
-    double, up to a factor e^_WALK_REACH; the first sign change is refined
-    by ``bracketed_root``.  Where |excess| stops falling before it changes
-    sign, the last three walk points bracket a minimum of |excess|, and
-    ``_extremum_crossing`` searches it for a close root pair the doubled
-    step went over.  When that finds no crossing either, the scheme has no
-    root of that direction there (the grid misses the fold) and the walk
-    returns None.
+    double, up to a factor e^_WALK_REACH, and stops where the excess
+    changes sign or |excess| stops falling.  ``_roots.crossings`` takes
+    the walk's samples: its extremum split finds a close root pair the
+    doubled step went over, and the root nearest b_star is the result.
+    When there is none, the scheme has no root of that direction there
+    (the grid misses the fold) and the walk returns None.
     """
-    b0, e0 = b_star, excess(b_star)
+    e0 = excess(b_star)
     if e0 == 0.0:
         return b_star
     step = _WALK_STEP
@@ -194,37 +193,15 @@ def _scheme_root(excess, b_star: float):
         b1 = b_star * math.exp(-step)
         e1 = excess(b1)
     side = math.copysign(1.0, e0)
-    previous = None
-    while True:
-        if e1 == 0.0:
-            return b1
-        if (e1 < 0.0) != (e0 < 0.0):
-            (lo, f_lo), (hi, f_hi) = sorted([(b0, e0), (b1, e1)])
-            root, _ = bracketed_root(excess, lo, hi, f_lo, f_hi, _PROBE_TOL, "scheme equilibrium")
-            return root
-        if abs(e1) >= abs(e0):
-            if previous is None or abs(e1) == abs(e0):
-                return None
-            walked = sorted([previous, (b0, e0), (b1, e1)])
-            crossing = _extremum_crossing(
-                lambda b: side * excess(b),
-                [b for b, _ in walked],
-                [side * e for _, e in walked],
-            )
-            if crossing is None:
-                return None
-            # the walk point just before the crossing and the crossing
-            # bracket the root; the top of the loop refines it
-            b0, e0 = previous if (crossing[0] - b0) * toward < 0.0 else (b0, e0)
-            b1, e1 = crossing[0], side * crossing[1]
-            continue
-        if b1 == 1.0 or step >= _WALK_REACH:
-            return None
+    samples = [(b_star, e0), (b1, e1)]
+    while 0.0 < side * e1 < side * e0 and b1 != 1.0 and step < _WALK_REACH:
         step *= 2.0
-        previous = (b0, e0)
-        b0, e0 = b1, e1
+        e0 = e1
         b1 = min(1.0, b_star * math.exp(toward * step))
         e1 = excess(b1)
+        samples.append((b1, e1))
+    roots = crossings(excess, sorted(samples), _PROBE_TOL, "scheme equilibrium")
+    return min((b for b, _ in roots), key=lambda b: abs(b - b_star), default=None)
 
 
 def stability_probe(params, steady: SteadyState) -> str:

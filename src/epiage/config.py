@@ -38,11 +38,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, ModelError, ParameterError
 from .grids import GridSpec
 from .parameters import RATE_NAMES, ConstantRates, ParameterSet
 from .profiles import AgeProfile
-from .transport import auto_time_steps
+from .transport import auto_time_steps, check_initial
 
 _KNOWN_KEYS = {
     "parameters": set(RATE_NAMES) | {"birth_rate"},
@@ -90,9 +90,11 @@ def cosine_bump(ages, amplitude, center, width):
     ages = np.asarray(ages, dtype=float)
     out = np.zeros_like(ages)
     inside = np.abs(ages - center) < width
-    out[inside] = (
-        amplitude * np.cos(np.pi * (ages[inside] - center) / (2.0 * width)) ** 2
-    )
+    # a power-of-two scale leaves the phase's bits as they are, and keeps
+    # pi (a - center) and 2 width finite for widths near the largest double
+    scale = 0.25 if width > 2.0**1000 else 1.0
+    phase = np.pi * ((ages[inside] - center) * scale) / (2.0 * (width * scale))
+    out[inside] = amplitude * np.cos(phase) ** 2
     return out
 
 
@@ -310,12 +312,10 @@ def _parse_initial(section, base_dir):
 
 
 def _validate_initial(config: RunConfig):
-    ages = config.grid.age_nodes()
-    s0, i0, r0 = config.initial.rows(ages)
-    if i0[0] != 0.0 or r0[0] != 0.0:
-        raise ConfigError("initial i0(0) and r0(0) must vanish (inflow boundary)")
-    if s0.min() < -1e-13:
-        raise ConfigError("initial fractions exceed 1 somewhere (s0 < 0)")
+    try:
+        check_initial(*config.initial.rows(config.grid.age_nodes()))
+    except ParameterError as exc:
+        raise ConfigError(f"[initial] {exc}") from None
 
 
 def _format_profile(profile: AgeProfile) -> str:

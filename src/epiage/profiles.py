@@ -22,7 +22,7 @@ class AgeProfile:
     from 0 to ``a``.
     """
 
-    __slots__ = ("ages", "values", "_cum")
+    __slots__ = ("ages", "values", "_segments")
 
     def __init__(self, ages, values):
         ages = np.atleast_1d(np.asarray(ages, dtype=float))
@@ -37,10 +37,21 @@ class AgeProfile:
             raise ParameterError("profile knot ages must be >= 0")
         object.__setattr__(self, "ages", ages)
         object.__setattr__(self, "values", values)
-        # exact integral of the linear interpolant up to each knot
+        # one segment per knot, plus a leading one from age 0: its start,
+        # the exact integral up to it, its value there and half its slope
+        # (zero before the first knot and past the last one).  A slope
+        # across a subnormal gap can overflow; capped, it gives 0 at da = 0.
         seg = 0.5 * (values[1:] + values[:-1]) * np.diff(ages)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        object.__setattr__(self, "_cum", cum)
+        cum = ages[0] * values[0] + np.concatenate([[0.0], np.cumsum(seg)])
+        with np.errstate(over="ignore"):
+            half_slopes = np.nan_to_num(0.5 * (np.diff(values) / np.diff(ages)))
+        segments = (
+            np.concatenate([[0.0], ages]),
+            np.concatenate([[0.0], cum]),
+            np.concatenate([values[:1], values]),
+            np.concatenate([[0.0], half_slopes, [0.0]]),
+        )
+        object.__setattr__(self, "_segments", segments)
 
     def __setattr__(self, name, value):
         raise AttributeError("AgeProfile is immutable")
@@ -85,21 +96,12 @@ class AgeProfile:
         a_arr = np.atleast_1d(np.asarray(a, dtype=float))
         if np.any(a_arr < 0):
             raise DomainError("age must be >= 0")
-        ages, values, cum = self.ages, self.values, self._cum
-        lead = ages[0] * values[0]  # constant piece on [0, ages[0]]
-        out = np.empty_like(a_arr)
-        below = a_arr <= ages[0]
-        out[below] = a_arr[below] * values[0]
-        above = ~below & (a_arr >= ages[-1])
-        out[above] = lead + cum[-1] + (a_arr[above] - ages[-1]) * values[-1]
-        mid = ~(below | above)
-        if np.any(mid):
-            am = a_arr[mid]
-            k = np.searchsorted(ages, am, side="right") - 1
-            da = am - ages[k]
-            vk = values[k]
-            slope = (values[k + 1] - vk) / (ages[k + 1] - ages[k])
-            out[mid] = lead + cum[k] + da * (vk + 0.5 * slope * da)
+        starts, integrals, values, half_slopes = self._segments
+        k = np.searchsorted(starts, a_arr, side="right") - 1
+        da = a_arr - starts[k]
+        # below the last knot da never exceeds it; the clip keeps the zero
+        # slope's term at 0, not nan, for a = inf
+        out = integrals[k] + da * (values[k] + half_slopes[k] * np.minimum(da, starts[-1]))
         if np.isscalar(a) or np.asarray(a).ndim == 0:
             return float(out[0])
         return out

@@ -12,13 +12,12 @@ its fixed points are the endemic states.  ``amplification`` is the ratio
 induced/assumed, continuously extended to B = 0 by the reproduction
 number, and endemic states are its unit crossings in (0, 1].
 
-``find_fixed_points`` locates the crossings in three steps: a coarse
-geometric scan of the excess amplification - 1 from 1e-9 up to the
-a-priori bound B_cut above which no endemic state exists, and at most to
-1; Brent's minimiser at each scanned local maximum below 0 (and local
-minimum above 0), which turns a root pair hidden inside one probe
-interval into two sign changes; and Chandrupatla's bracketed method at
-each sign change, which stops once |amplification - 1| <= tol.
+``find_fixed_points`` scans the excess amplification - 1 on a coarse
+geometric set of probes from 1e-9 up to the a-priori bound B_cut above
+which no endemic state exists, and at most to 1, and hands the samples to
+``_roots.crossings``: its extremum split finds a root pair hidden inside
+one probe interval, and it refines every sign change until
+|amplification - 1| <= tol.
 
 The bound: with B frozen, i' = B (beta s + rho r) - (phi+gamma) i <=
 m B (1 - i) - e i for m = max(beta, rho) and e = min(phi+gamma), so
@@ -30,16 +29,14 @@ on; when m <= (1 - delta) e there is no endemic state at all.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _sweep
-from ._roots import bracketed_root
+from ._roots import crossings
 from .demography import DemographicKernel
-from .errors import DomainError, NumericsError, ParameterError, ToleranceError
+from .errors import DomainError, NumericsError, ParameterError
 from .grids import cell_stages
 from .parameters import as_parameter_set
 from .thresholds import r0 as _r0
@@ -53,10 +50,6 @@ _SCAN_POINTS = 48
 #: margin delta of the a-priori bound: beyond B_cut the excess is below
 #: -delta, far outside the sweep's discretisation error
 _BOUND_MARGIN = 1e-2
-#: Brent's minimiser: relative position tolerance sqrt(eps), golden section
-_EXTREMUM_RTOL = math.sqrt(sys.float_info.epsilon)
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
-_MAX_EXTREMUM_STEPS = 100
 
 
 def _refined_ages(ages: np.ndarray, rate: float, target: float = 0.05):
@@ -201,64 +194,6 @@ def _scan_length(params, probes) -> int:
     return len(probes)
 
 
-def _extremum_crossing(h, points, values):
-    """First point where h <= 0 on Brent's descent from a bracketed minimum.
-
-    ``points`` a < x < b bracket a minimum of h (h(x) below h(a) and h(b),
-    all three positive).  Parabolic steps through the three best points,
-    golden-section steps where a parabola is unsafe (Brent 1973, ch. 5).
-    Returns (point, h(point)) as soon as h <= 0, or None once the minimum
-    is located to sqrt(eps) relative without h reaching 0; raises
-    ``ToleranceError`` if it is not located within the step limit.
-    """
-    (a, x, b), (fa, fx, fb) = points, values
-    # seed the parabola with the bracket ends, the lower one as runner-up
-    (w, fw), (v, fv) = sorted([(a, fa), (b, fb)], key=lambda pair: pair[1])
-    d = e = b - a
-    for _ in range(_MAX_EXTREMUM_STEPS):
-        middle = 0.5 * (a + b)
-        tol1 = _EXTREMUM_RTOL * abs(x)
-        if abs(x - middle) <= 2.0 * tol1 - 0.5 * (b - a):
-            return None
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                golden = False
-                if x + d - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
-                    d = math.copysign(tol1, middle - x)
-        if golden:
-            e = (a - x) if x >= middle else (b - x)
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = h(u)
-        if fu <= 0.0:
-            return u, fu
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    raise ToleranceError("extremum search of the excess did not converge", best=x)
-
-
 def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
     """All endemic pressures in (0, 1), with their steady profiles.
 
@@ -267,14 +202,10 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
     magnitude apart, so linear probing misses the small one), cut after
     the second probe at or beyond the a-priori bound B_cut (see the module
     docstring); the cut drops only probes and extremum checks that cannot
-    change the result, so the roots are those of the full scan.  At every
-    interior probe where the scanned excess has a local maximum below 0
-    (or a local minimum above 0), Brent's minimiser searches the two
-    adjacent probe intervals for the extremum; when it finds the excess
-    across zero, that point splits the interval into two sign changes,
-    so a close root pair inside one probe interval is still found.  An
-    extremum that stays on its side of zero, however close, gives no root.
-    Every sign change is then refined by Chandrupatla's bracketed method
+    change the result, so the roots are those of the full scan.
+    ``_roots.crossings`` then splits every scanned one-sided extremum with
+    Brent's minimiser, so a close root pair inside one probe interval is
+    still found, and refines every sign change by Chandrupatla's method
     until |amplification - 1| <= tol.
     """
     if tol <= 0:
@@ -290,31 +221,9 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
 
     probes = [float(B) for B in np.geomspace(_SCAN_FLOOR, 1.0, _SCAN_POINTS)]
     probes = probes[: _scan_length(params, probes)]
-    values = [excess(B) for B in probes]
-    samples = list(zip(probes, values))
-    for k in range(1, len(probes) - 1):
-        side = -1.0 if values[k] < 0.0 else 1.0
-        h = [side * value for value in values[k - 1 : k + 2]]
-        if 0.0 < h[1] < min(h[0], h[2]):
-            crossing = _extremum_crossing(
-                lambda B: side * excess(B), probes[k - 1 : k + 2], h
-            )
-            if crossing is not None:
-                samples.append((crossing[0], side * crossing[1]))
-    samples.sort()
-
-    roots = []
-    for (lo, f_lo), (hi, f_hi) in zip(samples, samples[1:]):
-        if f_lo == 0.0:
-            roots.append((lo, 0.0))
-        elif f_lo * f_hi < 0.0:
-            b_star, f_star = bracketed_root(excess, lo, hi, f_lo, f_hi, tol, "fixed-point")
-            roots.append((b_star, abs(f_star)))
-    if samples[-1][1] == 0.0:
-        roots.append(samples[-1])
-
+    samples = [(B, excess(B)) for B in probes]
     states = []
-    for b_star, excess_value in roots:
+    for b_star, excess_value in crossings(excess, samples, tol, "fixed-point"):
         s = data.susceptible(b_star)
         r = data.recovered(b_star)
         i = data.infected(b_star, r)
@@ -325,7 +234,7 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
                 s=s,
                 i=i,
                 r=r,
-                residual=float(excess_value * b_star),
+                residual=float(abs(excess_value) * b_star),
             )
         )
     return states

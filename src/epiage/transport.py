@@ -75,6 +75,21 @@ def auto_time_steps(params, age_max: float, time_max: float, n_age: int) -> int:
     return max(2, int(np.ceil(time_max / (0.9 * gate.dt_max))))
 
 
+def check_initial(s, i, r) -> None:
+    """Raise ``ParameterError`` unless (s, i, r) are admissible initial rows.
+
+    They must be finite, sum to 1 to 1e-12 at every node, have
+    i(0) = r(0) = 0 at the inflow boundary and be nonnegative to -1e-13.
+    """
+    # a NaN or inf anywhere makes the sum NaN or inf, which fails the test
+    if not np.max(np.abs(s + i + r - 1.0)) <= _SUM_TOL:
+        raise ParameterError("initial fractions must be finite and sum to 1 (tolerance 1e-12)")
+    if i[0] != 0.0 or r[0] != 0.0:
+        raise ParameterError("inflow boundary requires i0(0) = r0(0) = 0")
+    if min(s.min(), i.min(), r.min()) < -1e-13:
+        raise ParameterError("initial fractions must be nonnegative")
+
+
 def _step_arrays(s, i, r, B, dt, da, beta, exit_pressure, rho):
     infection = beta[1:] * s[1:] * B
     recovery = exit_pressure[1:] * i[1:]
@@ -146,13 +161,7 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
     s, i, r = (np.asarray(x, dtype=float) for x in initial)
     if not s.shape == i.shape == r.shape == nodes.shape:
         raise ShapeError("initial rows must match the age grid")
-    total = s + i + r
-    if np.max(np.abs(total - 1.0)) > _SUM_TOL:
-        raise ParameterError("initial fractions must sum to 1 (tolerance 1e-12)")
-    if i[0] != 0.0 or r[0] != 0.0:
-        raise ParameterError("inflow boundary requires i0(0) = r0(0) = 0")
-    if min(s.min(), i.min(), r.min()) < -1e-13:
-        raise ParameterError("initial fractions must be nonnegative")
+    check_initial(s, i, r)
     s, i, r = (np.maximum(x, 0.0) for x in (s, i, r))
     s[0] = 1.0
 

@@ -172,6 +172,27 @@ class TestStabilityProbe:
         assert stability_probe(rates, lower) == "unstable"
         assert stability_probe(rates, upper) == "stable"
 
+    def test_tags_across_the_drinking_betas(self):
+        """Closed-form states at beta 16.7-20 in steps of 0.1 and 25-200 in
+        steps of 5: no branch below the model's fold, two that the grid
+        misses (its fold lies higher) up to 18.1, the bistable pair up to
+        70, and one stable branch from 75 on."""
+        betas = [round(16.7 + 0.1 * k, 1) for k in range(34)] + [
+            20.0 + 5.0 * k for k in range(1, 37)
+        ]
+        for beta in betas:
+            rates = drinking_rates(beta)
+            tags = [stability_probe(rates, state) for state in closed_form_states(rates)]
+            if beta < 16.85:
+                expected = []
+            elif beta < 18.15:
+                expected = ["untested", "untested"]
+            elif beta < 72.5:
+                expected = ["unstable", "stable"]
+            else:
+                expected = ["stable"]
+            assert tags == expected, beta
+
     def test_probe_runs_no_simulation(self, monkeypatch, rates_bistable, kernel_bistable):
         import epiage.bifurcation as bifurcation
         import epiage.transport as transport

@@ -122,6 +122,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(initial)
 
+    def test_nan_initial_rows_rejected(self):
+        # a NaN amplitude parses as a float and makes the bump NaN
+        text = BISTABLE_INI.replace("amplitude = 0.5", "amplitude = nan")
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
     def test_round_trip_lossless(self):
         config = parse_config(BISTABLE_INI)
         again = parse_config(render_config(config))
@@ -144,6 +150,14 @@ class TestCosineBump:
         assert bump[ages <= 15.0].max() == 0.0
         assert bump[ages >= 25.0].max() == 0.0
         assert bump.max() == pytest.approx(0.5)
+
+    def test_finite_at_the_largest_widths(self):
+        """The bump is invariant under scaling ages, center and width by a
+        power of two; near 1e308 its phase used to overflow to NaN."""
+        ages = np.linspace(0.0, 1.7e308, 5)
+        bump = cosine_bump(ages, 0.5, 1e308, 1e308)
+        assert np.all(np.isfinite(bump))
+        np.testing.assert_array_equal(bump, cosine_bump(ages / 1024, 0.5, 1e308 / 1024, 1e308 / 1024))
 
 
 class TestCsvRoundTrip:

@@ -14,7 +14,9 @@ near ties of the 18th digit.
 The steady solver's a-priori bound holds: from B_cut on, the pressure
 induced under B is at most m B / (m B + e) and the amplification is
 below 1.  A rendered config parses back to an equal one, and the sign of
-the growth rate is the sign of R0 - 1.
+the growth rate is the sign of R0 - 1.  The root finder behind both
+pressure grids finds a close root pair between two samples, none where
+the maximum stays below 0, and an exact zero at a sample once.
 """
 
 import math
@@ -49,6 +51,7 @@ from epiage import (
     stable_timestep,
 )
 from epiage import _g17, steady
+from epiage._roots import crossings
 from epiage.parameters import RATE_NAMES
 from epiage._sweep import _SERIES_RANGE, _psi
 from epiage.io import read_trajectory, write_trajectory
@@ -429,3 +432,42 @@ def test_growth_rate_of_a_tiny_beta():
     kernel = analysis_kernel(params)
     assert truncated_root_below_abscissa(params, kernel)
     assert classify(params, kernel, tol=GROWTH_TOL).growth_rate < 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 9),
+    middle=st.floats(0.0, 1.0),
+    height=st.floats(1e-6, 0.24) | st.floats(-1.0, -1e-6),
+)
+def test_crossings_split_a_close_pair(n, middle, height):
+    """f = height - (x - m)^2 sampled at 0, 1, ..., n with m in [1, n - 1]:
+    its roots m -+ sqrt(height) lie less than one sample interval apart."""
+    m = 1.0 + middle * (n - 2)
+
+    def f(x):
+        return height - (x - m) ** 2
+
+    tol = 1e-12
+    samples = [(float(k), f(float(k))) for k in range(n + 1)]
+    roots = crossings(f, samples, tol, "test")
+    if height < 0.0:
+        assert roots == []
+        return
+    assert len(roots) == 2
+    for (x, fx), expected in zip(roots, (m - math.sqrt(height), m + math.sqrt(height))):
+        assert fx == f(x) and abs(fx) <= tol
+        assert x == pytest.approx(expected, abs=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 9), data=st.data(), tangent=st.booleans())
+def test_crossings_return_a_sample_zero_once(n, data, tangent):
+    """A zero at sample j, crossed (x - j) or touched (-(x - j)^2)."""
+    j = data.draw(st.integers(0, n))
+
+    def f(x):
+        return -((x - j) ** 2) if tangent else x - j
+
+    samples = [(float(k), f(float(k))) for k in range(n + 1)]
+    assert crossings(f, samples, 1e-12, "test") == [(float(j), 0.0)]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from epiage._roots import bracketed_root
+from epiage._roots import bracketed_root, crossings
 from epiage.errors import ToleranceError
 
 
@@ -27,3 +27,9 @@ def test_sign_change_without_root_raises():
     with pytest.raises(ToleranceError) as err:
         bracketed_root(jump, 0.0, 1.0, -1.0, 1.0, 1e-10, "test")
     assert err.value.best == pytest.approx(0.3, abs=1e-15)
+
+
+def test_sign_change_of_tiny_values():
+    """f_lo * f_hi underflows to -0.0 here; the sign change is still seen."""
+    samples = [(-1e-200, -1e-200), (1e-200, 1e-200)]
+    assert crossings(lambda x: x, samples, 1e-300, "test") == [(0.0, 0.0)]

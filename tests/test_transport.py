@@ -204,6 +204,16 @@ class TestSimulate:
         with pytest.raises(ParameterError):
             simulate(rates_bistable, (bad, bad, bad), grid)
 
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_nan_initial_data_rejected(self, rates_bistable, row):
+        """A NaN slips past tolerance tests (every comparison is False)."""
+        grid = stable_grid(rates_bistable, 50.0, 1.0, 0.5)
+        nodes = grid.age_nodes()
+        initial = [np.ones_like(nodes), np.zeros_like(nodes), np.zeros_like(nodes)]
+        initial[row][3] = np.nan
+        with pytest.raises(ParameterError):
+            simulate(rates_bistable, tuple(initial), grid)
+
     def test_unstable_grid_rejected_with_suggestion(self, rates_bistable):
         grid = GridSpec(100.0, 10.0, 200, 25)
         nodes = grid.age_nodes()
