@@ -118,6 +118,9 @@ def truncation_age(params: ParameterSet, cutoff: float = SURVIVAL_CUTOFF) -> flo
     lo = hi / 2.0 if hi > 1.0 else 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        # lo and hi are adjacent doubles: every later step would repeat this
+        if mid == lo or mid == hi:
+            break
         if params.mu.cumulative(mid) < target:
             lo = mid
         else:

@@ -121,13 +121,12 @@ class QuadratureGrid:
         if panels_per_block % 2 or panels_per_block < 2:
             raise ParameterError("panels_per_block must be even and >= 2")
         depth = max(1, math.ceil(math.log2(length / min(finest, length))))
-        edges = [0.0] + [length * 2.0 ** (-j) for j in range(depth, -1, -1)]
-        interior = [k for k in knots if 0.0 < k < length]
-        edges = np.unique(np.concatenate([edges, interior]))
-        # drop near-duplicate edges introduced by knots hitting dyadic points
-        keep = np.concatenate([[True], np.diff(edges) > 1e-9 * length])
-        edges = edges[keep]
-        edges[0], edges[-1] = 0.0, length
+        fixed = np.unique([0.0, length] + [k for k in knots if 0.0 < k < length])
+        dyadic = length * 2.0 ** -np.arange(depth, 0, -1)
+        # a dyadic edge within 1e-9 A of age 0, a knot or A gives way to it,
+        # so that every kink stays a block edge however close to another
+        gap = np.abs(dyadic[:, None] - fixed[None, :]).min(axis=1)
+        edges = np.union1d(fixed, dyadic[gap > 1e-9 * length])
         return cls._blocks(edges, panels_per_block)
 
     @classmethod

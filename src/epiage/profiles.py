@@ -84,8 +84,16 @@ class AgeProfile:
         a_arr = np.asarray(a, dtype=float)
         if np.any(a_arr < 0):
             raise DomainError("age must be >= 0")
-        out = np.interp(a_arr, self.ages, self.values)
-        return float(out) if np.isscalar(a) or a_arr.ndim == 0 else out
+        ages = np.atleast_1d(a_arr)
+        out = np.interp(ages, self.ages, self.values)
+        # inside a knot gap so narrow that its slope overflows, interp gives
+        # +-inf; interpolate there by the share of the gap instead
+        steep = np.isinf(out)
+        if steep.any():
+            k = np.searchsorted(self.ages, ages[steep], side="right") - 1
+            share = (ages[steep] - self.ages[k]) / (self.ages[k + 1] - self.ages[k])
+            out[steep] = self.values[k] + share * (self.values[k + 1] - self.values[k])
+        return float(out[0]) if np.isscalar(a) or a_arr.ndim == 0 else out
 
     def cumulative(self, a):
         """Exact integral of the profile over [0, a].

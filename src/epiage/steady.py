@@ -14,10 +14,11 @@ number, and endemic states are its unit crossings in (0, 1].
 
 ``find_fixed_points`` scans the excess amplification - 1 on a coarse
 geometric set of probes from 1e-9 up to the a-priori bound B_cut above
-which no endemic state exists, and at most to 1, and hands the samples to
-``_roots.crossings``: its extremum split finds a root pair hidden inside
-one probe interval, and it refines every sign change until
-|amplification - 1| <= tol.
+which no endemic state exists, and at most to 1, skipping the probes
+below an a-priori floor where the excess keeps the sign of its first
+probe, and hands the samples to ``_roots.crossings``: its extremum split
+finds a root pair hidden inside one probe interval, and it refines every
+sign change until |amplification - 1| <= tol.
 
 The bound: with B frozen, i' = B (beta s + rho r) - (phi+gamma) i <=
 m B (1 - i) - e i for m = max(beta, rho) and e = min(phi+gamma), so
@@ -25,6 +26,15 @@ i(a) < m B / (m B + e) at every age.  The pressure is a quadrature of i
 with nonnegative weights summing to one, so amplification(B) <
 m / (m B + e), which is at most 1 - delta from B_cut = 1/(1 - delta) - e/m
 on; when m <= (1 - delta) e there is no endemic state at all.
+
+The floor: u = i/B and R0's kernel W (W' = beta - (phi+gamma) W, W(0) =
+0) obey (u - W)' = rho r - beta (1 - s) - (phi+gamma) (u - W), and both
+source terms lie in [0, m B cumbeta(a)] since 0 <= r <= 1 - s <=
+B cumbeta.  So |u - W|(a) <= m B cumbeta(a) / e, and with the same
+weights |amplification(B) - R0| <= B m RC / e for RC = integral of
+p cumbeta.  Against the first probe B0 = 1e-9, |excess(B) - excess(B0)|
+<= (B + B0) m RC / e, so wherever (B + B0) m RC < (|excess(B0)| - delta) e
+the excess has the sign of excess(B0) and stays more than delta from 0.
 """
 
 from __future__ import annotations
@@ -176,22 +186,32 @@ def amplification(B: float, params, kernel: DemographicKernel) -> float:
     return induced_pressure(B, params, kernel) / B
 
 
-def _scan_length(params, probes) -> int:
-    """Number of leading ``probes`` the scan needs.
+def _scan(excess, data: _SteadyData, kernel: DemographicKernel):
+    """(B, excess(B)) at the probes the fixed-point scan needs.
 
-    That is every probe below B_cut and the first two at or beyond it, so
-    the extremum check at the first such probe sees its two neighbours;
-    every later check lies where amplification < 1 - delta and would find
-    no crossing.  The test (1 - delta)(m B + e) >= m is B >= B_cut without
-    the division by m, so m = 0 (no transmission, no relapse) gives two
-    probes and no root.
+    Of the geometric probes from 1e-9 to 1 these are the first, every
+    later one between the floor and B_cut (see the module docstring), the
+    last two below the floor and the first two at or beyond B_cut.  So the
+    extremum checks next to either bound see the neighbours of the full
+    scan, and every dropped probe or check lies where the excess cannot
+    reach 0.  Both tests are written without a division: m = 0 (no
+    transmission, no relapse) keeps two probes and e = 0 skips none below
+    the floor.
     """
+    params = data.params
     m = max(params.beta.max_value(), params.rho.max_value())
     e = params.exit_pressure().min_value()
-    for k, B in enumerate(probes):
-        if (1.0 - _BOUND_MARGIN) * (m * B + e) >= m:
-            return k + 2
-    return len(probes)
+    probes = [float(B) for B in np.geomspace(_SCAN_FLOOR, 1.0, _SCAN_POINTS)]
+    stop = next(
+        (k + 2 for k, B in enumerate(probes) if (1.0 - _BOUND_MARGIN) * (m * B + e) >= m),
+        len(probes),
+    )
+    probes = probes[:stop]
+    first = excess(probes[0])
+    spread = m * kernel.integrate(data.cum_beta * kernel.density)
+    slack = (abs(first) - _BOUND_MARGIN) * e
+    below = sum((B + probes[0]) * spread < slack for B in probes[1:])
+    return [(probes[0], first)] + [(B, excess(B)) for B in probes[max(1, below - 1) :]]
 
 
 def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
@@ -200,9 +220,11 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
     Scans the excess amplification - 1 on a coarse geometric set of
     probes from 1e-9 to 1 (bistable regimes have roots orders of
     magnitude apart, so linear probing misses the small one), cut after
-    the second probe at or beyond the a-priori bound B_cut (see the module
-    docstring); the cut drops only probes and extremum checks that cannot
-    change the result, so the roots are those of the full scan.
+    the second probe at or beyond the a-priori bound B_cut and started
+    from the last two probes below the a-priori floor, past the first
+    probe (see the module docstring); the cuts drop only probes and
+    extremum checks that cannot change the result, so the roots are those
+    of the full scan.
     ``_roots.crossings`` then splits every scanned one-sided extremum with
     Brent's minimiser, so a close root pair inside one probe interval is
     still found, and refines every sign change by Chandrupatla's method
@@ -219,9 +241,7 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
             raise NumericsError(f"amplification is not finite at B = {B!r}")
         return value
 
-    probes = [float(B) for B in np.geomspace(_SCAN_FLOOR, 1.0, _SCAN_POINTS)]
-    probes = probes[: _scan_length(params, probes)]
-    samples = [(B, excess(B)) for B in probes]
+    samples = _scan(excess, data, kernel)
     states = []
     for b_star, excess_value in crossings(excess, samples, tol, "fixed-point"):
         s = data.susceptible(b_star)

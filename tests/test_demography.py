@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -90,6 +92,28 @@ class TestMixingDensity:
         kernel = analysis_kernel(params)
         assert kernel.ages[-1] == pytest.approx(age, rel=1e-6)
         assert kernel.integrate(kernel.density) == pytest.approx(1.0, abs=1e-12)
+
+    def test_truncation_age_matches_the_80_step_bisection(self, rng):
+        def reference(params, cutoff):
+            target = math.log(1.0 / cutoff)
+            hi = 1.0
+            while params.mu.cumulative(hi) < target:
+                hi *= 2.0
+            lo = hi / 2.0 if hi > 1.0 else 0.0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if params.mu.cumulative(mid) < target:
+                    lo = mid
+                else:
+                    hi = mid
+            return hi
+
+        for _ in range(40):
+            n = rng.integers(1, 5)
+            knots = np.sort(rng.uniform(0.0, 200.0, n))
+            params = make_params(mu=list(zip(knots, rng.uniform(1e-3, 2.0, n))))
+            cutoff = 10.0 ** rng.uniform(-14.0, -0.5)
+            assert truncation_age(params, cutoff) == reference(params, cutoff)
 
     def test_density_integral_against_adaptive_oracle(self):
         params = make_params(contact=[(0.0, 0.6), (20.0, 1.2), (100.0, 0.3)])

@@ -111,6 +111,14 @@ def test_cumulative_finite_at_a_knot_after_a_subnormal_gap():
     assert p.cumulative(1.0) == pytest.approx(1e-310, rel=1e-9, abs=0.0)
 
 
+def test_value_finite_inside_a_subnormal_gap():
+    # the slope -3 / 2.2e-309 overflows, so interp gave -inf at 1e-309,
+    # which the graded grid, keeping every knot as a block edge, evaluates
+    p = AgeProfile([0.0, 2.2e-309, 1.0], [90.0, 87.0, 7.0])
+    assert p(1e-309) == pytest.approx(90.0 - 3.0 / 2.2, rel=1e-3)
+    np.testing.assert_array_equal(p(np.array([0.0, 2.2e-309, 0.5])), [90.0, 87.0, 47.0])
+
+
 def test_as_profile_coercions():
     assert as_profile(2.5)(1.0) == 2.5
     assert as_profile([(0, 1.0), (5, 2.0)])(5.0) == 2.0

@@ -13,7 +13,9 @@ near ties of the 18th digit.
 
 The steady solver's a-priori bound holds: from B_cut on, the pressure
 induced under B is at most m B / (m B + e) and the amplification is
-below 1.  A rendered config parses back to an equal one, and the sign of
+below 1.  So does its floor: where the linear-response bound allows, the
+excess keeps the sign of the first probe, more than delta from 0.  The
+number of endemic states is odd exactly when R0 > 1.  A rendered config parses back to an equal one, and the sign of
 the growth rate is the sign of R0 - 1.  The root finder behind both
 pressure grids finds a close root pair between two samples, none where
 the maximum stays below 0, and an exact zero at a sample once.
@@ -44,8 +46,10 @@ from epiage import (
     analysis_kernel,
     classify,
     euler_lotka,
+    find_fixed_points,
     induced_pressure,
     parse_config,
+    r0_rc_exact,
     render_config,
     simulate,
     stable_timestep,
@@ -317,6 +321,86 @@ def test_no_endemic_pressure_past_the_bound(params, share):
     kernel = analysis_kernel(params)
     assert induced_pressure(B, params, kernel) * (m * B + e) <= m * B
     assert amplification(B, params, kernel) < 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=rate_sets, share=st.floats(0.0, 1.0))
+def test_excess_keeps_its_sign_below_the_floor(params, share):
+    """Against the first probe B0 = 1e-9, |excess(B) - excess(B0)| <=
+    (B + B0) m RC / e with RC the quadrature of p cumbeta, so wherever
+    (B + B0) m RC < (|excess(B0)| - delta) e the excess has the sign of
+    excess(B0) and stays more than delta from 0.  ``induced_pressure``
+    gives the frozen-pressure ratio at every B; ``amplification`` returns
+    R0 below 1e-6."""
+    m = max(params.beta.max_value(), params.rho.max_value())
+    e = params.exit_pressure().min_value()
+    kernel = analysis_kernel(params)
+    spread = m * kernel.integrate(params.beta.cumulative(kernel.ages) * kernel.density)
+    b0 = steady._SCAN_FLOOR
+    first = induced_pressure(b0, params, kernel) / b0 - 1.0
+    slack = (abs(first) - steady._BOUND_MARGIN) * e
+    assume(slack > 2.0 * b0 * spread)
+    top = 1.0 if slack >= (1.0 + b0) * spread else slack / spread - b0
+    B = b0 + share * (top - b0)
+    assume((B + b0) * spread < slack)
+    excess = induced_pressure(B, params, kernel) / B - 1.0
+    assert np.sign(excess) == np.sign(first)
+    assert abs(excess) > steady._BOUND_MARGIN
+
+
+#: draws keep R0 this far from 1: the truncated age domain moves R0 by
+#: about the survival cutoff, and the lower root of a pair tends to 0 as
+#: R0 tends to 1
+R0_MARGIN = 1e-3
+#: draws keep the quadratic's discriminant this far from 0, relative to
+#: b^2, so that its roots are at least 1% apart (a fold pair closer than
+#: that can vanish on the truncated domain, as at beta 16.80367)
+FOLD_MARGIN = 1e-4
+
+
+#: the tolerance ``find_fixed_points`` refines roots to by default
+FIXED_POINT_TOL = 1e-10
+
+
+def excess_noise(params, kernel, B):
+    """Spread of the excess amplification - 1 over seven pressures within
+    3e-12 relative of B, where its true change is far below 1e-10."""
+    near = B * (1.0 + 1e-12 * np.arange(-3, 4))
+    values = [induced_pressure(x, params, kernel) / x - 1.0 for x in near]
+    return max(values) - min(values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mu=st.floats(1e-3, 0.5),
+    beta=st.floats(0.0, 200.0, exclude_min=True),
+    phi=st.floats(0.0, 100.0),
+    gamma=st.floats(0.0, 100.0),
+    rho=st.floats(0.0, 200.0, exclude_min=True),
+)
+def test_root_parity_matches_the_region(mu, beta, phi, gamma, rho):
+    """The number of endemic states is odd exactly when R0 > 1: one above
+    threshold, none or a pair below it.  A floor that dropped a low root
+    would break it.
+
+    Where the root search stalls, the excess must be too noisy near the
+    stall to reach tol: on long age domains (mu near 1e-3) with a root
+    near 1e-5, rounding in the frozen-pressure profiles moves the excess
+    by 1e-9 to 1e-7, so ``find_fixed_points`` raises there.
+    """
+    rates = ConstantRates(mu=mu, beta=beta, phi=phi, gamma=gamma, rho=rho)
+    r0 = r0_rc_exact(rates)[0]
+    b = mu / beta + (mu + phi + gamma) / rho - 1.0
+    c = (mu / rho) * ((mu + phi + gamma) / beta - 1.0)
+    assume(abs(r0 - 1.0) > R0_MARGIN)
+    assume(abs(b * b - 4.0 * c) > FOLD_MARGIN * b * b)
+    kernel = analysis_kernel(rates)
+    try:
+        states = find_fixed_points(rates, kernel, tol=FIXED_POINT_TOL)
+    except ToleranceError as error:
+        assert excess_noise(rates, kernel, error.best) > FIXED_POINT_TOL
+        return
+    assert len(states) % 2 == (1 if r0 > 1.0 else 0)
 
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)

@@ -172,9 +172,13 @@ class TestFindFixedPoints:
         )
 
     def test_root_below_one_micro(self):
-        # R0 = 0.99983: the lower root sits at 5.9e-7, below the old 1e-6 floor
+        # R0 = 0.99983: the lower root sits at 5.9e-7, below the old first
+        # probe at 1e-6, and |excess(1e-9)| < delta, so the floor skips none
         rates = drinking_rates(73.0)
-        states = find_fixed_points(rates, analysis_kernel(rates))
+        kernel = analysis_kernel(rates)
+        first = induced_pressure(1e-9, rates, kernel) / 1e-9 - 1.0
+        assert abs(first) < steady._BOUND_MARGIN
+        states = find_fixed_points(rates, kernel)
         oracle = fixed_points_exact(rates)
         assert oracle == pytest.approx([5.9057e-7, 0.0472841], rel=1e-4)
         assert [state.b_star for state in states] == pytest.approx(oracle, abs=1e-8)
@@ -207,6 +211,27 @@ class TestFindFixedPoints:
             fixed_points_exact(rates_bistable), abs=1e-8
         )
         assert len(calls) < 58
+
+    def test_scan_starts_past_the_floor_bound(self, rates_bistable, kernel_bistable, monkeypatch):
+        # R0 = 0.82, so by the linear-response bound the excess stays below
+        # -delta up to B = 3.3e-5; the probes below that go, but for the
+        # last two, and the scan from 1e-9 up to B_cut takes 53 sweeps
+        calls = count_sweeps(monkeypatch)
+        states = find_fixed_points(rates_bistable, kernel_bistable)
+        assert [state.b_star for state in states] == pytest.approx(
+            fixed_points_exact(rates_bistable), abs=1e-8
+        )
+        assert len(calls) <= 35
+
+    def test_floor_bound_settles_the_extinction_rates(
+        self, rates_extinction, kernel_extinction, monkeypatch
+    ):
+        # R0 = 1.5e-4: the bound keeps the excess below -delta beyond the
+        # last probe, so the first probe and the last two settle it; the
+        # scan from 1e-9 up to B_cut takes 43 sweeps
+        calls = count_sweeps(monkeypatch)
+        assert find_fixed_points(rates_extinction, kernel_extinction) == []
+        assert len(calls) <= 3
 
     def test_no_scan_where_the_bound_rules_out_every_state(self, monkeypatch):
         # max(beta, rho) = 50 <= 0.99 (phi + gamma): amplification < 1 at

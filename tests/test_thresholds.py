@@ -3,6 +3,7 @@ import pytest
 
 from epiage import thresholds
 from epiage import (
+    AgeProfile,
     ConstantRates,
     NumericsError,
     ParameterSet,
@@ -36,6 +37,16 @@ class TestR0:
         assert r0(rates_bistable, kernel) == pytest.approx(
             analytic_r0(rates_bistable), rel=1e-6
         )
+
+    @pytest.mark.parametrize("knot", [1e-8, 1e-20, 8.2e-129])
+    def test_rate_knot_at_a_tiny_age(self, knot):
+        # the kink at the knot must stay a block edge of the graded grid, or
+        # Richardson converges at first order and stalls; up to the knot,
+        # R0 = beta / (mu + phi + gamma) = 1/3
+        params = ParameterSet(
+            mu=0.5, beta=AgeProfile([0.0, knot], [0.0, 0.5]), phi=0.0, gamma=1.0, rho=0.0
+        )
+        assert r0(params, analysis_kernel(params)) == pytest.approx(1.0 / 3.0, rel=1e-6)
 
     def test_zero_transmission(self, rates_bistable, kernel_bistable):
         silent = ConstantRates(mu=0.0125, beta=0.0, phi=60.0, gamma=13.0, rho=76.65)
