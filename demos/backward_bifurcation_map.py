@@ -3,8 +3,10 @@
 With constant rates the amplification factor of the fixed-point map is a
 rational function of the assumed pressure B, and its unit crossings solve
 a quadratic.  Two endemic states coexist below threshold (R0 < 1) exactly
-when R0 < 1 < RC and the transmission rate clears an explicit bound built
-from the relapse and treatment rates.
+when that quadratic has two roots in (0, 1).  In the relapse-dominant
+plane mapped here (rho above phi + gamma, small mu) this is the paper's
+test: R0 < 1 < RC and the transmission rate clears an explicit bound
+built from the relapse and treatment rates.
 
 The script prints the amplification curve for the reference bistable
 rates, the quadratic's roots, and a slice of the region map over the

@@ -108,7 +108,9 @@ class RegionReport:
 
     region 1: infection-free only; region 2: two endemic pressures
     coexist below threshold (backward bifurcation); region 3: unique
-    endemic pressure above threshold.
+    endemic pressure above threshold.  ``beta_threshold`` is the paper's
+    bound rho mu / (mu + (sqrt(rho) - sqrt(phi+gamma))^2), reported but
+    not used to decide the region.
     """
 
     region: int
@@ -118,13 +120,14 @@ class RegionReport:
 
 
 def bifurcation_region(rates: ConstantRates) -> RegionReport:
-    """Two-inequality region test for constant rates.
+    """Region of a constant-rate set, decided by the quadratic's root count.
 
-    region 2 requires R0 < 1 < RC together with beta above
-    rho*mu / (mu + (sqrt(rho) - sqrt(phi+gamma))^2).  The two-root
-    prediction is exact in the relapse-dominant regime rho > phi+gamma;
-    when treatment/recovery dominates relapse the root count can differ
-    from the prediction.
+    region 3 when R0 > 1; region 2 when R0 < 1 and ``fixed_points_exact``
+    finds two roots in (0, 1); region 1 otherwise.  The paper's test, R0 <
+    1 < RC with beta above ``beta_threshold``, predicts the two roots only
+    in the relapse-dominant regime rho > phi+gamma with small mu; where
+    treatment/recovery dominates relapse it claims region 2 for most sets
+    without any endemic state.
     """
     r0_value, rc_value = r0_rc_exact(rates)
     pg = rates.exit_pressure
@@ -133,7 +136,12 @@ def bifurcation_region(rates: ConstantRates) -> RegionReport:
     )
     if r0_value > 1.0:
         region = 3
-    elif r0_value < 1.0 < rc_value and rates.beta > threshold:
+    elif (
+        r0_value < 1.0
+        and rates.beta > 0.0
+        and rates.rho > 0.0
+        and len(fixed_points_exact(rates)) == 2
+    ):
         region = 2
     else:
         region = 1

@@ -19,6 +19,8 @@ from .profiles import as_profile
 
 #: default truncation: age_max is chosen so survival(age_max) <= this
 SURVIVAL_CUTOFF = 1e-6
+#: bisection steps whose midpoints ``truncation_age`` evaluates at once
+_BISECTION_BLOCK = 6
 
 
 def survival(params: ParameterSet, a):
@@ -108,23 +110,45 @@ def stationary_mixing(params, grid) -> DemographicKernel:
 
 
 def truncation_age(params: ParameterSet, cutoff: float = SURVIVAL_CUTOFF) -> float:
-    """Smallest age A with survival(A) <= cutoff, found by bisection."""
+    """Smallest age A with survival(A) <= cutoff, found by bisection.
+
+    The bisection starts from the first power of two (up to 2^29) where
+    survival is at or below the cutoff.  Each array call evaluates the
+    midpoints of the next ``_BISECTION_BLOCK`` steps, every one the
+    bisection could reach; walking down that tree makes the scalar
+    bisection's decisions, so A is bit for bit that of bisecting one step
+    at a time.
+    """
     target = math.log(1.0 / cutoff)
-    hi = 1.0
-    while params.mu.cumulative(hi) < target:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ParameterError("survival decays too slowly to truncate")
+    powers = 2.0 ** np.arange(30)
+    with np.errstate(over="ignore"):
+        reached = params.mu.cumulative(powers) >= target
+    if not reached.any():
+        raise ParameterError("survival decays too slowly to truncate")
+    hi = float(powers[reached.argmax()])
     lo = hi / 2.0 if hi > 1.0 else 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        # lo and hi are adjacent doubles: every later step would repeat this
-        if mid == lo or mid == hi:
-            break
-        if params.mu.cumulative(mid) < target:
-            lo = mid
-        else:
-            hi = mid
+    steps = 0
+    while steps < 80:
+        # level k holds the 2^k midpoints k steps down, the midpoints of
+        # the intervals between neighbours of the points above it; interval
+        # i splits into 2i (below its midpoint) and 2i + 1 (above)
+        points, levels = [lo, hi], []
+        for _ in range(_BISECTION_BLOCK):
+            mids = [0.5 * (a + b) for a, b in zip(points, points[1:])]
+            levels.append(mids)
+            points = [x for pair in zip(points, mids) for x in pair] + points[-1:]
+        short = params.mu.cumulative(np.array(sum(levels, []))) < target
+        i = 0
+        for k, mids in enumerate(levels[: 80 - steps]):
+            mid = mids[i]
+            # lo and hi are adjacent doubles: every later step would repeat this
+            if mid == lo or mid == hi:
+                return hi
+            if short[2**k - 1 + i]:
+                lo, i = mid, 2 * i + 1
+            else:
+                hi, i = mid, 2 * i
+        steps += len(levels)
     return hi
 
 

@@ -32,10 +32,12 @@ class ParameterSet:
     rho: AgeProfile
     contact: AgeProfile = field(default_factory=lambda: AgeProfile.constant(1.0))
     birth_rate: float = 1.0
+    _exit_pressure: AgeProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in RATE_NAMES:
             object.__setattr__(self, name, as_profile(getattr(self, name)))
+        object.__setattr__(self, "_exit_pressure", profile_sum(self.phi, self.gamma))
         # mu == 0 somewhere is constructible so that validate() can flag it;
         # the kernel builders reject it because survival would not decay.
         if not self.birth_rate > 0:
@@ -43,7 +45,7 @@ class ParameterSet:
 
     def exit_pressure(self) -> AgeProfile:
         """Combined treatment-plus-recovery rate phi + gamma."""
-        return profile_sum(self.phi, self.gamma)
+        return self._exit_pressure
 
     def with_rate(self, name: str, value) -> "ParameterSet":
         if name not in RATE_NAMES:

@@ -151,9 +151,9 @@ class _SteadyData:
         """i = 1 - s - r, with 1 - s from expm1 so that small B keeps its digits."""
         return -np.expm1(-B * self.cum_beta) - recovered
 
-    def pressure(self, B: float, kernel: DemographicKernel) -> float:
-        """Pressure induced under B; ``kernel`` is on the same ages."""
-        infected = self.infected(B, self.recovered(B))
+    def pressure(self, B: float, recovered: np.ndarray, kernel: DemographicKernel) -> float:
+        """Pressure induced under B, given r; ``kernel`` is on the same ages."""
+        infected = self.infected(B, recovered)
         return float(kernel.integrate(infected * kernel.density))
 
 
@@ -175,7 +175,8 @@ def induced_pressure(B: float, params, kernel: DemographicKernel) -> float:
         raise DomainError("B must be >= 0")
     if B == 0:
         return 0.0
-    return _SteadyData(as_parameter_set(params), kernel.ages).pressure(B, kernel)
+    data = _SteadyData(as_parameter_set(params), kernel.ages)
+    return data.pressure(B, data.recovered(B), kernel)
 
 
 def amplification(B: float, params, kernel: DemographicKernel) -> float:
@@ -194,13 +195,16 @@ def _scan(excess, data: _SteadyData, kernel: DemographicKernel):
     last two below the floor and the first two at or beyond B_cut.  So the
     extremum checks next to either bound see the neighbours of the full
     scan, and every dropped probe or check lies where the excess cannot
-    reach 0.  Both tests are written without a division: m = 0 (no
-    transmission, no relapse) keeps two probes and e = 0 skips none below
-    the floor.
+    reach 0.  Where the bound leaves no endemic state at all, m <= (1 -
+    delta) e, there are no probes.  The tests are written without a
+    division: m = 0 (no transmission, no relapse) has no probes and e = 0
+    skips none below the floor.
     """
     params = data.params
     m = max(params.beta.max_value(), params.rho.max_value())
     e = params.exit_pressure().min_value()
+    if m <= (1.0 - _BOUND_MARGIN) * e:
+        return []
     probes = [float(B) for B in np.geomspace(_SCAN_FLOOR, 1.0, _SCAN_POINTS)]
     stop = next(
         (k + 2 for k, B in enumerate(probes) if (1.0 - _BOUND_MARGIN) * (m * B + e) >= m),
@@ -224,28 +228,36 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
     from the last two probes below the a-priori floor, past the first
     probe (see the module docstring); the cuts drop only probes and
     extremum checks that cannot change the result, so the roots are those
-    of the full scan.
+    of the full scan; where the bound rules out every endemic state no
+    probe is evaluated.
     ``_roots.crossings`` then splits every scanned one-sided extremum with
     Brent's minimiser, so a close root pair inside one probe interval is
     still found, and refines every sign change by Chandrupatla's method
-    until |amplification - 1| <= tol.
+    until |amplification - 1| <= tol.  Each root's profiles reuse the
+    recovered fraction of the evaluation that found it.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
     params = as_parameter_set(params)
     data = _SteadyData(params, kernel.ages)
 
+    # r at every evaluation within tol of a root, for the roots' profiles
+    recovered = {}
+
     def excess(B):
-        value = data.pressure(B, kernel) / B - 1.0
+        r = data.recovered(B)
+        value = data.pressure(B, r, kernel) / B - 1.0
         if not np.isfinite(value):
             raise NumericsError(f"amplification is not finite at B = {B!r}")
+        if abs(value) <= tol:
+            recovered[B] = r
         return value
 
     samples = _scan(excess, data, kernel)
     states = []
     for b_star, excess_value in crossings(excess, samples, tol, "fixed-point"):
         s = data.susceptible(b_star)
-        r = data.recovered(b_star)
+        r = recovered[b_star]
         i = data.infected(b_star, r)
         states.append(
             SteadyState(

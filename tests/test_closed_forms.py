@@ -147,6 +147,33 @@ class TestBifurcationRegion:
         assert bifurcation_region(rates).region == 1
         assert fixed_points_exact(rates) == []
 
+    def test_no_region_two_without_two_roots(self):
+        # R0 = 0.99983 < 1 < RC and beta clears the paper's threshold, but
+        # with rho < phi + gamma the quadratic has no root in (0, 1)
+        rates = ConstantRates(mu=0.0125, beta=73.0, phi=60.0, gamma=13.0, rho=5.0)
+        assert fixed_points_exact(rates) == []
+        report = bifurcation_region(rates)
+        assert report.region == 1
+        assert report.r0 < 1.0 < report.rc and rates.beta > report.beta_threshold
+
+    def test_region_is_the_root_count_on_random_sets(self, rng):
+        # treatment-dominant and large-mu sets, where the two inequalities
+        # predicted region 2 for most sets without an endemic state
+        for _ in range(2000):
+            rates = ConstantRates(
+                mu=10.0 ** rng.uniform(-2.5, 0.0),
+                beta=rng.uniform(0.1, 150.0),
+                phi=rng.uniform(0.0, 80.0),
+                gamma=rng.uniform(0.1, 20.0),
+                rho=rng.uniform(0.1, 150.0),
+            )
+            report = bifurcation_region(rates)
+            roots = fixed_points_exact(rates)
+            if report.r0 > 1.0:
+                assert report.region == 3
+            else:
+                assert report.region == (2 if report.r0 < 1.0 and len(roots) == 2 else 1)
+
     def test_region_two_iff_two_roots_near_reference_rates(self):
         # relapse-dominant grid around the bistable reference values
         mismatches = 0

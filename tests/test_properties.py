@@ -16,7 +16,8 @@ induced under B is at most m B / (m B + e) and the amplification is
 below 1.  So does its floor: where the linear-response bound allows, the
 excess keeps the sign of the first probe, more than delta from 0.  The
 number of endemic states is odd exactly when R0 > 1.  A rendered config parses back to an equal one, and the sign of
-the growth rate is the sign of R0 - 1.  The root finder behind both
+the growth rate is the sign of R0 - 1; the growth rate solves the
+converged growth equation to tol.  The root finder behind both
 pressure grids finds a close root pair between two samples, none where
 the maximum stays below 0, and an exact zero at a sample once.
 """
@@ -56,7 +57,7 @@ from epiage import (
 )
 from epiage import _g17, steady
 from epiage._roots import crossings
-from epiage.parameters import RATE_NAMES
+from epiage.parameters import RATE_NAMES, as_parameter_set
 from epiage._sweep import _SERIES_RANGE, _psi
 from epiage.io import read_trajectory, write_trajectory
 
@@ -484,8 +485,11 @@ constant_rate_sets = st.builds(
 
 def truncated_root_below_abscissa(params, kernel):
     """True when the growth root of the truncated age domain lies below
-    -(mu + phi + gamma), where the model's G diverges (tiny beta)."""
-    return euler_lotka(-(params.mu + params.exit_pressure), params, kernel) < 1.0
+    -(mu + phi + gamma) past the last knot, where the model's G diverges
+    (tiny beta)."""
+    params = as_parameter_set(params)
+    tail = params.mu.values[-1] + params.exit_pressure().values[-1]
+    return euler_lotka(-tail, params, kernel) < 1.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -508,6 +512,35 @@ def test_growth_rate_sign_is_sign_of_r0_minus_1(rates):
         return
     assume(abs(report.r0 - 1.0) > 10 * GROWTH_TOL)
     assert np.sign(report.growth_rate) == np.sign(report.r0 - 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=rate_sets
+    | constant_rate_sets.filter(lambda r: r["phi"] + r["gamma"] + r["rho"] > 0.0).map(
+        lambda r: ConstantRates(**r).to_parameter_set()
+    )
+)
+def test_growth_rate_solves_the_converged_growth_equation(params):
+    """The root is refined only where it is checked, so check it against
+    G converged to 1e-10: |G(lam) - 1| <= tol.
+
+    Where six refinements do not bring G to 1e-10 relative, the last
+    refined value stands in; the one ``classify`` failure allowed is the
+    growth root below the abscissa.
+    """
+    assume(params.beta.max_value() > 0.0)
+    kernel = analysis_kernel(params)
+    try:
+        lam = classify(params, kernel, tol=GROWTH_TOL).growth_rate
+    except ToleranceError:
+        assert truncated_root_below_abscissa(params, kernel)
+        return
+    try:
+        g = euler_lotka(lam, params, kernel, rtol=1e-10)
+    except ToleranceError as err:
+        g = err.best
+    assert abs(g - 1.0) <= GROWTH_TOL
 
 
 @pytest.mark.xfail(raises=ToleranceError, strict=True, reason="growth root below the abscissa")
