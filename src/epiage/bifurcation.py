@@ -100,33 +100,36 @@ class _UpwindScheme:
         self.exit = params.exit_pressure()(ages)
         self.rho = params.rho(ages)
 
-    def equilibrium(self, B: float):
-        """(s, i, r) of the scheme's steady state under frozen pressure B.
+    def _log_s_and_u(self, B: float):
+        """log s and u = i/B of the scheme's steady state under frozen pressure B.
 
         It does not depend on dt: s_k = s_{k-1} / (1 + da beta_k B) and
-        r_k = (r_{k-1} + da e_k (1 - s_k)) / (1 + da (e_k + rho_k B)) with
-        e = phi + gamma, since s + i + r = 1 holds exactly.
+        u_k = (u_{k-1} + da (rho_k + (beta_k - rho_k) s_k)) / (1 + da (e_k
+        + rho_k B)) with e = phi + gamma, since s + i + r = 1 holds exactly.
         """
         da = self.da
         log_s = -np.cumsum(np.log1p(da * B * self.beta))
         decay = np.log1p(da * (self.exit + B * self.rho))
-        infected_or_recovered = -np.expm1(log_s)
-        q = da * self.exit * infected_or_recovered * np.exp(-decay)
-        r = _sweep.propagate(q, np.concatenate([[0.0], np.cumsum(decay)]))[1:]
-        return np.exp(log_s), infected_or_recovered - r, r
+        q = da * (self.rho + (self.beta - self.rho) * np.exp(log_s)) * np.exp(-decay)
+        return log_s, _sweep.propagate(q, np.concatenate([[0.0], np.cumsum(decay)]))[1:]
+
+    def equilibrium(self, B: float):
+        """(s, i, r) = (s, B u, (1 - s) - B u) of the scheme's steady state."""
+        log_s, u = self._log_s_and_u(B)
+        return np.exp(log_s), B * u, -np.expm1(log_s) - B * u
 
     def excess(self, B: float) -> float:
-        value = float(self.c @ self.equilibrium(B)[1]) / B - 1.0
+        value = float(self.c @ self._log_s_and_u(B)[1]) - 1.0
         if not math.isfinite(value):
             raise NumericsError(f"scheme excess is not finite at B = {B!r}")
         return value
 
     def characteristic(self, theta, B: float, s, r):
-        """f(z) = 1 - c^T (zI - A)^{-1} u at z = exp(i theta).
+        """f(z) = 1 - c^T (zI - A)^{-1} v at z = exp(i theta).
 
-        J = A + u c^T is the one-step map linearised about (s, r) under B:
-        A at frozen pressure, u = dt d(step)/dB.  The node sums of
-        (zI - A)^{-1} u vanish, as s + i + r is conserved, so its s and r
+        J = A + v c^T is the one-step map linearised about (s, r) under B:
+        A at frozen pressure, v = dt d(step)/dB.  The node sums of
+        (zI - A)^{-1} v vanish, as s + i + r is conserved, so its s and r
         parts are two recurrences and its i part their negated sum.
         """
         dt, lam = self.dt, self.dt / self.da

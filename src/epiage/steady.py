@@ -1,16 +1,19 @@
 """Endemic steady states via the fixed-point map of the infection pressure.
 
 Freezing the force of infection at a trial value B turns the steady-state
-system into linear ODEs in age with known boundary values:
+system into linear ODEs in age with known boundary values; the one
+swept is that of u = i/B:
 
     s(a) = exp(-B * integral of beta),
-    r' = (phi+gamma) (1 - s - r) - B rho r,     r(0) = 0,
-    i = 1 - s - r.
+    u' = rho + (beta - rho) s - (phi + gamma + B rho) u,     u(0) = 0,
+    i = B u,    r = (1 - s) - B u.
 
-``induced_pressure`` maps B to the pressure generated by that profile;
-its fixed points are the endemic states.  ``amplification`` is the ratio
-induced/assumed, continuously extended to B = 0 by the reproduction
-number, and endemic states are its unit crossings in (0, 1].
+At B = 0, u is R0's kernel W (W' = beta - (phi+gamma) W, W(0) = 0).
+``amplification``, the ratio of induced to assumed pressure, is the
+pressure quadrature of u at every B >= 0: no division by B, and R0 on
+the kernel's grid at B = 0.  ``induced_pressure`` is B times it, and
+endemic states are its unit crossings in (0, 1].  r loses relative
+digits only at young ages, where r is far below i.
 
 ``find_fixed_points`` scans the excess amplification - 1 on a coarse
 geometric set of probes from 1e-9 up to the a-priori bound B_cut above
@@ -23,18 +26,19 @@ sign change until |amplification - 1| <= tol.
 The bound: with B frozen, i' = B (beta s + rho r) - (phi+gamma) i <=
 m B (1 - i) - e i for m = max(beta, rho) and e = min(phi+gamma), so
 i(a) < m B / (m B + e) at every age.  The pressure is a quadrature of i
-with nonnegative weights summing to one, so amplification(B) <
-m / (m B + e), which is at most 1 - delta from B_cut = 1/(1 - delta) - e/m
-on; when m <= (1 - delta) e there is no endemic state at all.
+with nonnegative weights summing to one, so amplification(B), the same
+quadrature of u = i/B, is below m / (m B + e), which is at most
+1 - delta from B_cut = 1/(1 - delta) - e/m on; when m <= (1 - delta) e
+there is no endemic state at all.
 
-The floor: u = i/B and R0's kernel W (W' = beta - (phi+gamma) W, W(0) =
-0) obey (u - W)' = rho r - beta (1 - s) - (phi+gamma) (u - W), and both
-source terms lie in [0, m B cumbeta(a)] since 0 <= r <= 1 - s <=
-B cumbeta.  So |u - W|(a) <= m B cumbeta(a) / e, and with the same
-weights |amplification(B) - R0| <= B m RC / e for RC = integral of
-p cumbeta.  Against the first probe B0 = 1e-9, |excess(B) - excess(B0)|
-<= (B + B0) m RC / e, so wherever (B + B0) m RC < (|excess(B0)| - delta) e
-the excess has the sign of excess(B0) and stays more than delta from 0.
+The floor: u and W obey (u - W)' = rho r - beta (1 - s) - (phi+gamma)
+(u - W), and both source terms lie in [0, m B cumbeta(a)] since 0 <= r
+<= 1 - s <= B cumbeta.  So |u - W|(a) <= m B cumbeta(a) / e, and with
+the same weights |amplification(B) - R0| <= B m RC / e for RC =
+integral of p cumbeta.  Against the first probe B0 = 1e-9,
+|excess(B) - excess(B0)| <= (B + B0) m RC / e, so wherever
+(B + B0) m RC < (|excess(B0)| - delta) e the excess has the sign of
+excess(B0) and stays more than delta from 0.
 """
 
 from __future__ import annotations
@@ -49,10 +53,6 @@ from .demography import DemographicKernel
 from .errors import DomainError, NumericsError, ParameterError
 from .grids import cell_stages
 from .parameters import as_parameter_set
-from .thresholds import r0 as _r0
-
-#: below this, amplification(B) returns the analytic B -> 0 limit
-SMALL_PRESSURE = 1e-6
 
 #: the fixed-point scan starts here; roots below it are not found
 _SCAN_FLOOR = 1e-9
@@ -89,36 +89,34 @@ def susceptible_profile(B: float, params, ages) -> np.ndarray:
     return np.exp(-B * params.beta.cumulative(ages))
 
 
-def _refined_data(B: float, params, ages):
-    """Profile data on ``ages`` refined for pressure B, and the original ages' indices."""
+def _refined_profiles(B: float, params, ages):
+    """(s, i, r) on ``ages``, swept on a sub-grid refined for pressure B.
+
+    The decay part of the sweep's kernel is exact at any step, but its
+    source needs sub-cells once B * beta is fast compared to the spacing
+    of ``ages``.
+    """
     if B < 0:
         raise DomainError("B must be >= 0")
     params = as_parameter_set(params)
     ages = np.asarray(ages, dtype=float)
     if ages.size == 0 or ages[0] != 0.0:
-        raise DomainError("ages must start at 0 (boundary r(0) = 0)")
+        raise DomainError("ages must start at 0 (boundary i(0) = r(0) = 0)")
     refined, index = _refined_ages(ages, B * params.beta.max_value())
-    return _SteadyData(params, refined), index
+    data = _SteadyData(params, refined)
+    return [profile[index] for profile in data.profiles(B, data.sweep(B))]
 
 
 def recovered_profile(B: float, params, ages) -> np.ndarray:
-    """Temporarily recovered fraction of the frozen-pressure steady system.
-
-    Evaluates the variation-of-parameters kernel by the exponential sweep
-    on an internally refined sub-grid (the decay part of the kernel is
-    exact at any step, but the source needs sub-cells once B * beta is
-    fast compared to the spacing of ``ages``).  ``ages`` must start at 0
-    where r vanishes.
-    """
-    data, index = _refined_data(B, params, ages)
-    return data.recovered(B)[index]
+    """Temporarily recovered fraction r = (1 - s) - B u of the frozen-pressure
+    steady system; ``ages`` must start at 0."""
+    return _refined_profiles(B, params, ages)[2]
 
 
 def infected_profile(B: float, params, ages) -> np.ndarray:
-    """Infected fraction of the frozen-pressure steady system, on the
-    refined sub-grid of ``recovered_profile``."""
-    data, index = _refined_data(B, params, ages)
-    return data.infected(B, data.recovered(B))[index]
+    """Infected fraction i = B u of the frozen-pressure steady system;
+    ``ages`` must start at 0."""
+    return _refined_profiles(B, params, ages)[1]
 
 
 class _SteadyData:
@@ -129,7 +127,8 @@ class _SteadyData:
         self.ages = ages
         stages = cell_stages(ages)
         exit_pressure = params.exit_pressure()
-        self.stage_exit = exit_pressure(stages)
+        self.stage_rho = params.rho(stages)
+        self.stage_beta_less_rho = params.beta(stages) - self.stage_rho
         self.stage_cum_beta = params.beta.cumulative(stages)
         self.cum_beta = params.beta.cumulative(ages)
         self.cum_exit = exit_pressure.cumulative(ages)
@@ -137,24 +136,24 @@ class _SteadyData:
         self.exit_nodes = exit_pressure(ages)
         self.rho_nodes = params.rho(ages)
 
-    def susceptible(self, B: float):
-        return np.exp(-B * self.cum_beta)
-
-    def recovered(self, B: float):
-        g = self.stage_exit * -np.expm1(-B * self.stage_cum_beta)
+    def sweep(self, B: float):
+        """u = i/B under frozen pressure B; R0's kernel W at B = 0."""
+        g = self.stage_rho + self.stage_beta_less_rho * np.exp(-B * self.stage_cum_beta)
         psi = self.cum_exit + B * self.cum_rho
         decay = self.exit_nodes + B * self.rho_nodes
-        r = _sweep.exp_sweep(self.ages, psi, g, decay)
-        return np.maximum(r, 0.0)
+        return _sweep.exp_sweep(self.ages, psi, g, decay)
 
-    def infected(self, B: float, recovered: np.ndarray):
-        """i = 1 - s - r, with 1 - s from expm1 so that small B keeps its digits."""
-        return -np.expm1(-B * self.cum_beta) - recovered
+    def profiles(self, B: float, u: np.ndarray):
+        """(s, i, r) from u, with 1 - s from expm1 so that small B keeps its digits."""
+        i = B * u
+        r = np.maximum(-np.expm1(-B * self.cum_beta) - i, 0.0)
+        return np.exp(-B * self.cum_beta), i, r
 
-    def pressure(self, B: float, recovered: np.ndarray, kernel: DemographicKernel) -> float:
-        """Pressure induced under B, given r; ``kernel`` is on the same ages."""
-        infected = self.infected(B, recovered)
-        return float(kernel.integrate(infected * kernel.density))
+
+def _amplification(data: _SteadyData, B: float, kernel: DemographicKernel):
+    """(amplification at B, u); ``kernel`` is on the ages of ``data``."""
+    u = data.sweep(B)
+    return float(kernel.integrate(u * kernel.density)), u
 
 
 @dataclass(frozen=True)
@@ -169,22 +168,19 @@ class SteadyState:
     residual: float
 
 
-def induced_pressure(B: float, params, kernel: DemographicKernel) -> float:
-    """Pressure generated by the steady profiles built under pressure B."""
+def amplification(B: float, params, kernel: DemographicKernel) -> float:
+    """Ratio of induced to assumed pressure, the quadrature of p u; at B = 0
+    it is R0 on the kernel's grid."""
     if B < 0:
         raise DomainError("B must be >= 0")
-    if B == 0:
-        return 0.0
     data = _SteadyData(as_parameter_set(params), kernel.ages)
-    return data.pressure(B, data.recovered(B), kernel)
+    return _amplification(data, B, kernel)[0]
 
 
-def amplification(B: float, params, kernel: DemographicKernel) -> float:
-    """Ratio of induced to assumed pressure; tends to R0 as B -> 0."""
-    params = as_parameter_set(params)
-    if B < SMALL_PRESSURE:
-        return _r0(params, kernel)
-    return induced_pressure(B, params, kernel) / B
+def induced_pressure(B: float, params, kernel: DemographicKernel) -> float:
+    """Pressure generated by the steady profiles built under pressure B,
+    B * amplification(B)."""
+    return B * amplification(B, params, kernel)
 
 
 def _scan(excess, data: _SteadyData, kernel: DemographicKernel):
@@ -233,32 +229,30 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
     ``_roots.crossings`` then splits every scanned one-sided extremum with
     Brent's minimiser, so a close root pair inside one probe interval is
     still found, and refines every sign change by Chandrupatla's method
-    until |amplification - 1| <= tol.  Each root's profiles reuse the
-    recovered fraction of the evaluation that found it.
+    until |amplification - 1| <= tol.  Each root's profiles come from the
+    u of the evaluation that found it, with no further sweep.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
     params = as_parameter_set(params)
     data = _SteadyData(params, kernel.ages)
 
-    # r at every evaluation within tol of a root, for the roots' profiles
-    recovered = {}
+    # u at every evaluation within tol of a root, for the roots' profiles
+    swept = {}
 
     def excess(B):
-        r = data.recovered(B)
-        value = data.pressure(B, r, kernel) / B - 1.0
+        value, u = _amplification(data, B, kernel)
+        value -= 1.0
         if not np.isfinite(value):
             raise NumericsError(f"amplification is not finite at B = {B!r}")
         if abs(value) <= tol:
-            recovered[B] = r
+            swept[B] = u
         return value
 
     samples = _scan(excess, data, kernel)
     states = []
     for b_star, excess_value in crossings(excess, samples, tol, "fixed-point"):
-        s = data.susceptible(b_star)
-        r = recovered[b_star]
-        i = data.infected(b_star, r)
+        s, i, r = data.profiles(b_star, swept[b_star])
         states.append(
             SteadyState(
                 b_star=float(b_star),

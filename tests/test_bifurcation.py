@@ -172,6 +172,14 @@ class TestStabilityProbe:
         assert stability_probe(rates, lower) == "unstable"
         assert stability_probe(rates, upper) == "stable"
 
+    def test_lower_branch_next_to_zero(self):
+        """At beta 73 the solver's lower root is near 5.9e-7 and the
+        scheme's near 2e-6, where the scheme excess must hold to 1e-10."""
+        rates = drinking_rates(73.0)
+        states = find_fixed_points(rates, analysis_kernel(rates))
+        assert len(states) == 2
+        assert stability_probe(rates, states[0]) == "unstable"
+
     def test_tags_across_the_drinking_betas(self):
         """Closed-form states at beta 16.7-20 in steps of 0.1 and 25-200 in
         steps of 5: no branch below the model's fold, two that the grid

@@ -138,8 +138,8 @@ SUBCOMMAND_STDOUT = {
     "steady": [
         "wrote OUT/report.txt",
         "wrote OUT/steady_states.csv",
-        "fixed point B* = 0.0007608131993 (residual 4.6e-14)",
-        "fixed point B* = 0.04648682198 (residual 1e-13)",
+        "fixed point B* = 0.0007608132112 (residual 2e-14)",
+        "fixed point B* = 0.04648682198 (residual 1.2e-14)",
     ],
     "bifurcation": [
         "wrote OUT/diagram.csv",

@@ -129,9 +129,19 @@ class TestPressureMap:
         assert value == pytest.approx(0.1 * 0.94965, abs=1e-6)
 
     def test_amplification_limit_is_r0(self, rates_bistable, kernel_bistable):
-        limit = amplification(1e-9, rates_bistable, kernel_bistable)
+        limit = amplification(0.0, rates_bistable, kernel_bistable)
         assert limit == pytest.approx(r0(rates_bistable, kernel_bistable), abs=1e-12)
         assert limit == pytest.approx(0.8218, abs=1e-3)
+
+    def test_amplification_is_continuous_at_small_pressure(self):
+        # the lower branch of a backward bifurcation leaves B = 0 as R0
+        # nears 1, so the excess must hold its digits below 1e-5 too
+        rates = drinking_rates(60.0)
+        kernel = analysis_kernel(rates, cutoff=1e-12)
+        for B in np.geomspace(1e-9, 1e-5, 17):
+            assert amplification(B, rates, kernel) == pytest.approx(
+                amplification_exact(B, rates), abs=1e-10
+            )
 
     def test_amplification_at_one_below_one(self, rates_bistable, kernel_bistable):
         assert amplification(1.0, rates_bistable, kernel_bistable) < 1.0
@@ -182,6 +192,15 @@ class TestFindFixedPoints:
         oracle = fixed_points_exact(rates)
         assert oracle == pytest.approx([5.9057e-7, 0.0472841], rel=1e-4)
         assert [state.b_star for state in states] == pytest.approx(oracle, abs=1e-8)
+
+    def test_root_on_a_long_age_domain(self):
+        # mu = 2^-9 makes the age domain about 7000 years long; with the
+        # excess as r-based pressure over B the search stalled near 1e-5
+        rates = ConstantRates(mu=0.001953125, beta=42.0, phi=0.0, gamma=35.0, rho=1.0)
+        states = find_fixed_points(rates, analysis_kernel(rates))
+        assert fixed_points_exact(rates) == pytest.approx([9.570905e-6], rel=1e-6)
+        assert len(states) == 1
+        assert states[0].b_star == pytest.approx(9.570905e-6, rel=1e-5)
 
     def test_root_pair_inside_one_probe_interval(self):
         rates = drinking_rates(16.8037)
