@@ -138,7 +138,12 @@ class QuadratureGrid:
         for lo, hi in zip(edges[:-1], edges[1:]):
             h = (hi - lo) / n_panels
             blocks.append((len(weights) - 1, n_panels))
-            nodes.append(lo + h * np.arange(1, n_panels + 1))
+            block = lo + h * np.arange(1, n_panels + 1)
+            # the edge itself, also where h underflows in a block narrower
+            # than its panels (a knot at 5e-324): the next block's first
+            # node must sample the rates on its own side of the edge
+            block[-1] = hi
+            nodes.append(block)
             w = _simpson_weights(n_panels, h)
             weights[-1] += w[0]
             weights = np.concatenate([weights, w[1:]])

@@ -12,11 +12,28 @@ untouched plateaus of s, i and r repeat bit for bit.  The distinct values
 of a block get their digits from an exact product in numpy
 (``_g17.format17``); a value the product cannot decide falls back, alone,
 to ``'%.17g' %``, and every byte is that of ``'%.17g' %``.
+
+The blocks of a table are cut into contiguous shares, one per CPU in
+``os.sched_getaffinity(0)`` and never more shares than blocks.  The
+calling process writes the header and the first share into the file; each
+later share is written by a child made with ``os.fork`` into its own
+temporary spool, and the parent reaps the children in order and appends
+their spools.  Every share runs the same per-block code, so the bytes do
+not depend on how many shares there are.  One process writes the whole
+table where ``os.fork`` or ``os.sched_getaffinity`` is missing, where one
+CPU is available, or where the table is one block.  On Python 3.12 and
+later a process running other OS threads (an OpenBLAS pool when
+``OPENBLAS_NUM_THREADS`` is unset) gets CPython's fork
+``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import shutil
+import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +60,9 @@ def _write_table(path, header, columns) -> Path:
     ``%.17g`` columns are stacked, and each distinct bit pattern among them
     is formatted once, by ``_g17.format17``; the bytes are those of
     formatting every value with ``'%.17g' %``.
+
+    Shares of blocks after the first are written by forked children (see
+    the module docstring); raises ``OSError`` naming the file if one fails.
     """
     path = Path(path)
     arrays = [
@@ -50,23 +70,63 @@ def _write_table(path, header, columns) -> Path:
         for values, spec in columns
     ]
     specs = [spec for _, spec in columns]
-    floats = [j for j, spec in enumerate(specs) if spec == "%.17g"]
     n_rows = len(arrays[0])
     if any(len(array) != n_rows for array in arrays):
         raise ShapeError(f"columns differ in length: {[len(a) for a in arrays]}")
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            blocks = [array[start : start + _BLOCK_ROWS] for array in arrays]
-            cells = [
-                None if spec == "%.17g" else [spec % value for value in block.tolist()]
-                for block, spec in zip(blocks, specs)
-            ]
-            if floats:
-                for j, column in zip(floats, _float_cells([blocks[j] for j in floats])):
-                    cells[j] = column
-            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+    n_blocks = -(-n_rows // _BLOCK_ROWS)
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    n_cpus = len(os.sched_getaffinity(0)) if forkable else 1
+    n_shares = max(1, min(n_cpus, n_blocks))
+    edges = [n_blocks * k // n_shares * _BLOCK_ROWS for k in range(n_shares)] + [n_rows]
+    with open(path, "wb") as handle, ExitStack() as stack:
+        handle.write((",".join(header) + "\r\n").encode("ascii"))
+        pids, spools = [], []
+        try:
+            for start, stop in zip(edges[1:], edges[2:]):
+                spools.append(stack.enter_context(tempfile.TemporaryFile()))
+                pids.append(_fork_writer(spools[-1], arrays, specs, start, stop))
+            _write_rows(handle, arrays, specs, 0, edges[1])
+        finally:
+            failed = [pid for pid in pids if os.waitpid(pid, 0)[1] != 0]
+        if failed:
+            raise OSError(f"writing {path}: {len(failed)} of {len(pids)} forked writers failed")
+        for spool in spools:
+            spool.seek(0)
+            shutil.copyfileobj(spool, handle)
     return path
+
+
+def _fork_writer(spool, arrays, specs, start, stop) -> int:
+    """Fork a child that writes rows [start, stop) into ``spool``; its pid.
+
+    The child never returns: it exits with status 0 once the spool is
+    flushed, and with 1 on any exception.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            _write_rows(spool, arrays, specs, start, stop)
+            spool.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _write_rows(handle, arrays, specs, start, stop) -> None:
+    """Write rows [start, stop) as ASCII, one ``_BLOCK_ROWS`` block at a time."""
+    floats = [j for j, spec in enumerate(specs) if spec == "%.17g"]
+    for block_start in range(start, stop, _BLOCK_ROWS):
+        blocks = [array[block_start : block_start + _BLOCK_ROWS] for array in arrays]
+        cells = [
+            None if spec == "%.17g" else [spec % value for value in block.tolist()]
+            for block, spec in zip(blocks, specs)
+        ]
+        if floats:
+            for j, column in zip(floats, _float_cells([blocks[j] for j in floats])):
+                cells[j] = column
+        handle.write(("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode("ascii"))
 
 
 def _float_cells(blocks) -> list:

@@ -131,11 +131,13 @@ def dominant_growth_rate(
 
     Richardson's check is made at the root only.  On each refined grid G
     is evaluated at the root, which is accepted once it is still within
-    tol there and G changed by at most rtol = max(min(tol/10, 1e-9),
-    1e-12) relative from the coarser grid.  A root outside tol is solved
-    again on the finer grid, from a step along the secant of the last grid
-    solved on.  ``ToleranceError`` (``best`` the last root) after
-    ``_MAX_REFINEMENTS`` grids.
+    tol - rtol there and G changed by at most rtol = max(min(tol/10,
+    1e-9), 1e-12) relative on two refinements in a row: one small change
+    can come before the asymptotic range, where the changes still grow.
+    A root outside tol - rtol is solved again on the finer grid, from a
+    step along the secant of the last grid solved on, and G at the new
+    root on the coarser grid gives its first change.  ``ToleranceError``
+    (``best`` the last root) after ``_MAX_REFINEMENTS`` grids.
     """
     return _growth_rate(_LotkaData(as_parameter_set(params), kernel), tol)
 
@@ -162,6 +164,9 @@ def _growth_rate(data: _LotkaData, tol: float) -> float:
     ftol = tol / (1.0 + tol)
     # quadrature noise one decade below the residual target suffices
     rtol = max(min(tol * 1e-1, 1e-9), 1e-12)
+    # on the refined grids the root keeps rtol of tol for the quadrature
+    # error that is left after the check
+    fine_ftol = (tol - rtol) / (1.0 + tol - rtol)
 
     level, g = data, {0.0: data.g_zero}
     f = _recorded(level, g)
@@ -180,19 +185,27 @@ def _growth_rate(data: _LotkaData, tol: float) -> float:
     lam = 0.0 if abs(f_zero) <= ftol else _solve(f, 0.0, far, f_zero, f_far, ftol)
 
     # walk up the refinement chain evaluating at the root only: accept it
-    # once G there is converged to rtol and still within tol of 1, else
-    # re-solve on the finer level next to it
-    solved = g
+    # once G there is within tol - rtol of 1 and changed by at most rtol,
+    # and by at most half its last change at the same root (a first small
+    # change can come before the asymptotic range, where the changes still
+    # grow), else re-solve on the finer level next to it.  An exit
+    # pressure constant in age makes the sweep exact and leaves Simpson's
+    # error alone, whose first change is taken as it stands.
+    first = math.inf if np.ptp(data.exit_nodes) == 0.0 else math.nan
+    solved, last = g, first
     for _ in range(_MAX_REFINEMENTS):
-        coarse = g[lam]
+        coarser, coarse = level, g[lam]
         level, g = level.refined(), {}
         f = _recorded(level, g)
         f_lam = f(lam)
-        if abs(f_lam) > ftol:
-            lam = _near(f, solved, lam, f_lam, ftol)
-            solved = g
-        elif abs(g[lam] - coarse) <= rtol * abs(g[lam]):
+        if abs(f_lam) > fine_ftol:
+            lam = _near(f, solved, lam, f_lam, fine_ftol)
+            solved, last = g, first
+            coarse = coarser.g_value(lam)
+        change = abs(g[lam] - coarse)
+        if change <= rtol * abs(g[lam]) and change <= 0.5 * last:
             return lam
+        last = change
     raise ToleranceError(f"growth-rate refinement stalled above rtol={rtol:g}", best=lam)
 
 

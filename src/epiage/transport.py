@@ -90,20 +90,29 @@ def check_initial(s, i, r) -> None:
         raise ParameterError("initial fractions must be nonnegative")
 
 
-def _step_arrays(s, i, r, B, dt, da, beta, exit_pressure, rho):
-    infection = beta[1:] * s[1:] * B
-    recovery = exit_pressure[1:] * i[1:]
-    relapse = rho[1:] * r[1:] * B
-    s_new = np.empty_like(s)
-    i_new = np.empty_like(i)
-    r_new = np.empty_like(r)
-    s_new[0], i_new[0], r_new[0] = 1.0, 0.0, 0.0
-    s_new[1:] = s[1:] + dt * (-infection - (s[1:] - s[:-1]) / da)
-    i_new[1:] = i[1:] + dt * (
-        infection - recovery + relapse - (i[1:] - i[:-1]) / da
-    )
-    r_new[1:] = r[1:] + dt * (recovery - relapse - (r[1:] - r[:-1]) / da)
-    return s_new, i_new, r_new
+def _step(state, B, dt, da, beta, exit_pressure, rho):
+    """Advance the stacked (s, i, r) rows of ``state`` by one upwind step.
+
+    The rates are given without the inflow node.  Each row's update keeps
+    the order of operations of the three formulas in the module docstring.
+    """
+    s, i, r = state[:, 1:]
+    infection = beta * s * B
+    recovery = exit_pressure * i
+    relapse = rho * r * B
+    new = np.empty_like(state)
+    new[:, 0] = 1.0, 0.0, 0.0
+    # rows = state + dt * (reaction - diff / da), built in place; + and *
+    # commute exactly, so every row has the bits of its formula
+    rows = new[:, 1:]
+    np.negative(infection, out=rows[0])
+    np.subtract(infection, recovery, out=rows[1])
+    rows[1] += relapse
+    np.subtract(recovery, relapse, out=rows[2])
+    rows -= np.diff(state, axis=1) / da
+    rows *= dt
+    rows += state[:, 1:]
+    return new
 
 
 @dataclass(frozen=True)
@@ -162,8 +171,9 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
     if not s.shape == i.shape == r.shape == nodes.shape:
         raise ShapeError("initial rows must match the age grid")
     check_initial(s, i, r)
-    s, i, r = (np.maximum(x, 0.0) for x in (s, i, r))
-    s[0] = 1.0
+    state = np.maximum(np.array([s, i, r]), 0.0)
+    state[0, 0] = 1.0
+    s, i, r = state
 
     quad = QuadratureGrid.uniform(grid.age_max, grid.n_age)
     weights = quad.weights
@@ -173,8 +183,8 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
         contact = params.contact(nodes)
         population = population_on(params, n0, nodes)
 
-    beta, rho = params.beta(nodes), params.rho(nodes)
-    exit_pressure = params.phi(nodes) + params.gamma(nodes)
+    beta, rho = params.beta(nodes)[1:], params.rho(nodes)[1:]
+    exit_pressure = (params.phi(nodes) + params.gamma(nodes))[1:]
     dt, da = grid.dt, grid.da
 
     n_time = grid.n_time
@@ -204,7 +214,7 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
         b_series[j] = B
 
         conservation = max(conservation, float(np.max(np.abs(s + i + r - 1.0))))
-        row_min = float(min(s.min(), i.min(), r.min()))
+        row_min = float(state.min())
         minimum = min(minimum, row_min)
         if row_min < _POSITIVITY_ABORT:
             field = min((s.min(), "s"), (i.min(), "i"), (r.min(), "r"))[1]
@@ -219,7 +229,8 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
             out_s[j // stride], out_i[j // stride], out_r[j // stride] = s, i, r
         if j == n_time:
             break
-        s, i, r = _step_arrays(s, i, r, B, dt, da, beta, exit_pressure, rho)
+        state = _step(state, B, dt, da, beta, exit_pressure, rho)
+        s, i, r = state
     out_s[-1], out_i[-1], out_r[-1] = s, i, r
 
     field = StateField(times=time_nodes[kept_j], ages=nodes, s=out_s, i=out_i, r=out_r)

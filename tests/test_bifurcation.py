@@ -232,19 +232,19 @@ class TestStabilityProbe:
         eigenvalues of J outside the unit disk, with J the Jacobian of the
         transport step on a 30-cell grid and A the same at frozen pressure."""
         import epiage.bifurcation as bifurcation
-        from epiage.transport import _step_arrays
+        from epiage.transport import _step
 
         monkeypatch.setattr(bifurcation, "_PROBE_AGE_MAX", 1.5)
         monkeypatch.setattr(bifurcation, "_PROBE_AGE_STEPS", 30)
         scheme = bifurcation._UpwindScheme(as_parameter_set(drinking_rates(45.0)))
-        rates = [np.concatenate([[0.0], x]) for x in (scheme.beta, scheme.exit, scheme.rho)]
+        rates = (scheme.beta, scheme.exit, scheme.rho)
         theta = np.array([0.0, 0.7, 2.0, np.pi])
 
         def step(x, pressure=None):
             s, i, r = with_inflow_node(*np.split(x, 3))
             if pressure is None:
                 pressure = scheme.c @ i[1:]
-            new = _step_arrays(s, i, r, pressure, scheme.dt, scheme.da, *rates)
+            new = _step(np.array([s, i, r]), pressure, scheme.dt, scheme.da, *rates)
             return np.concatenate([part[1:] for part in new])
 
         def jacobian(g, x, h=1e-6):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from epiage import (
     parse_config,
     render_config,
 )
+from epiage import io
 from epiage.io import (
     _BLOCK_ROWS,
     read_trajectory,
@@ -195,8 +198,15 @@ class TestCsvRoundTrip:
         assert "bistable-candidate" in text and "4800" in text
 
 
-def test_every_writer_bytes(tmp_path):
-    """Exact bytes: header row, CRLF line ends, 17 significant digits."""
+def test_every_writer_bytes(tmp_path, monkeypatch):
+    """Exact bytes: header row, CRLF line ends, 17 significant digits.
+
+    Each table here is one block, which is written without forking."""
+
+    def no_fork():
+        raise AssertionError("a one-block table forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     ages = np.array([0.0, 1.0 / 3.0])
     path = write_initial(
         tmp_path / "initial.csv", ages, [1.0, 1e-17], [0.0, -0.0], [0.5, 2.0 / 3.0]
@@ -333,6 +343,59 @@ def test_block_boundary_bytes(tmp_path):
         ["%.17g", "%.17g", "%d", "%.17g", "%s", "%.17g", "%.17g"],
         list(zip(*rows)),
     )
+
+
+def five_block_table():
+    """Header, specs and columns of a %d, %.17g, %s table of 5 blocks less 7 rows."""
+    n = 5 * _BLOCK_ROWS - 7
+    rng = np.random.default_rng(5)
+    values = rng.choice([0.0, -0.0, 1.0 / 3.0, 1e-300, 0.1], n) * rng.uniform(0.5, 2.0, n)
+    words = [("stable", "unstable", "untested")[k % 3] for k in range(n)]
+    header, specs = ["k", "x", "tag"], ["%d", "%.17g", "%s"]
+    return header, specs, [list(range(n)), values.tolist(), words]
+
+
+@pytest.mark.parametrize("pinned", [True, False], ids=["one-cpu", "every-cpu"])
+def test_shared_table_bytes(tmp_path, monkeypatch, pinned):
+    """A 5-block table has the bytes of formatting every value by itself,
+    written by this process alone when it may run on one CPU, and split
+    across one forked writer per further CPU otherwise."""
+    mask = os.sched_getaffinity(0)
+    if not pinned and len(mask) < 2:
+        pytest.skip("needs at least 2 CPUs")
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    header, specs, columns = five_block_table()
+    try:
+        if pinned:
+            os.sched_setaffinity(0, {min(mask)})
+        path = io._write_table(tmp_path / "table.csv", header, list(zip(columns, specs)))
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert len(forks) == (0 if pinned else min(len(mask), 5) - 1)
+    assert path.read_bytes() == naive_table(header, specs, columns)
+
+
+def test_failed_writer_raises(tmp_path, monkeypatch):
+    """A forked writer that raises makes the table writer raise OSError
+    naming the file, and leaves no child unreaped."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs at least 2 CPUs")
+    parent = os.getpid()
+    float_cells = io._float_cells
+
+    def child_fails(blocks):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed in a child")
+        return float_cells(blocks)
+
+    monkeypatch.setattr(io, "_float_cells", child_fails)
+    header, specs, columns = five_block_table()
+    with pytest.raises(OSError, match="table.csv"):
+        io._write_table(tmp_path / "table.csv", header, list(zip(columns, specs)))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_unequal_columns_rejected(tmp_path):

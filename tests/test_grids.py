@@ -57,6 +57,17 @@ def test_refined_grid_shows_fourth_order():
     assert fine_err < coarse_err / 10.0  # ~16x for a 4th-order rule
 
 
+def test_block_edges_are_nodes_where_the_panel_width_underflows():
+    # a knot at 5e-324 makes a block whose panels are 0 wide: its last node
+    # is still the edge, so the next block samples a kink there from its
+    # own side, and refining keeps the edge
+    grid = QuadratureGrid.graded(60.0, 0.01, 16, knots=[5e-324, 1.0])
+    assert grid.nodes[16] == 5e-324
+    assert grid.refined().nodes[32] == 5e-324
+    step = np.where(grid.nodes > 0.0, 2.0, 0.5)
+    assert grid.integrate(step) == pytest.approx(120.0, rel=1e-14)
+
+
 def test_cell_stages_shape_and_endpoints():
     grid = QuadratureGrid.uniform(1.0, 4)
     st = cell_stages(grid.nodes)

@@ -529,6 +529,25 @@ def test_growth_rate_of_a_tiny_beta():
     assert classify(params, kernel, tol=GROWTH_TOL).growth_rate < 0.0
 
 
+def test_growth_rate_of_a_pre_asymptotic_chain():
+    """A falsifying example of the converged-growth-equation property: at
+    the root solved on the base grid G changes by 6e-10 on the first
+    refinement and by 5e-9 on the second, and converges to |G - 1| =
+    1.0025e-8; one agreement accepted that root."""
+    params = ParameterSet(
+        mu=AgeProfile([0.0, 1.0], [0.0625, 0.06874389031089108]),
+        beta=AgeProfile.constant(120.0),
+        phi=AgeProfile([0.0, 1.0, 9.0], [1.0, 28.0, 4.0]),
+        gamma=AgeProfile([3.0, 10.0, 34.0, 53.0], [1.0, 20.0, 31.0, 8.0]),
+        rho=AgeProfile([0.0, 12.0, 40.25], [0.0, 0.0, 0.0]),
+        contact=AgeProfile.constant(1.0),
+        birth_rate=1.0,
+    )
+    kernel = analysis_kernel(params)
+    lam = classify(params, kernel, tol=GROWTH_TOL).growth_rate
+    assert abs(euler_lotka(lam, params, kernel, rtol=1e-10) - 1.0) <= GROWTH_TOL
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(3, 9),

@@ -125,6 +125,24 @@ class TestStep:
             assert r_new[k] == pytest.approx(exp_r, abs=1e-16)
         assert (s_new[0], i_new[0], r_new[0]) == (1.0, 0.0, 0.0)
 
+    def test_stacked_step_has_the_bits_of_each_formula(self, rng):
+        """The in-place step on stacked rows against each formula evaluated
+        row by row, in the order the module docstring writes it."""
+        from epiage.transport import _step
+
+        s, i, r = rng.uniform(0.0, 1.0, (3, 64))
+        beta, exit_pressure, rho = rng.uniform(0.0, 80.0, (3, 63))
+        B, dt, da = 0.37, 1.0 / 1024.0 + 1e-9, 0.5 + 1e-12
+        infection, recovery, relapse = beta * s[1:] * B, exit_pressure * i[1:], rho * r[1:] * B
+        expected = [
+            s[1:] + dt * (-infection - (s[1:] - s[:-1]) / da),
+            i[1:] + dt * (infection - recovery + relapse - (i[1:] - i[:-1]) / da),
+            r[1:] + dt * (recovery - relapse - (r[1:] - r[:-1]) / da),
+        ]
+        new = _step(np.array([s, i, r]), B, dt, da, beta, exit_pressure, rho)
+        assert new[:, 0].tolist() == [1.0, 0.0, 0.0]
+        assert np.array_equal(new[:, 1:].view(np.uint64), np.array(expected).view(np.uint64))
+
     def test_reactions_cancel_in_sum(self, rates_bistable):
         grid = GridSpec(10.0, 1.0, 20, 1000)
         nodes = grid.age_nodes()
