@@ -1,4 +1,4 @@
-"""Exact ``'%.17g' % v`` for an array of doubles, computed in numpy.
+"""Exact ``b'%.17g' % v`` for an array of doubles, computed in numpy.
 
 For a finite nonzero double v, ``'%.17g'`` prints the 17 digits of
 D = round-half-even(|v| 10^(16-k)), where k is the decimal exponent that
@@ -7,14 +7,16 @@ Here the product is formed as m = |v| 2^s_p (exact) times a double-double
 t_hi + t_lo of 10^p 2^-s_p in [1, 2), p = 16 - k: m t_hi exactly by
 Dekker's two-product, m t_lo rounded.  Its total error is below 2^-46 in
 units of D.  A value the product cannot decide is formed by Python's own
-``'%.17g' %`` instead: zeros, non-finite values, a fraction within
+``b'%.17g' %`` instead: zeros, non-finite values, a fraction within
 ``_MARGIN`` of one half (this includes every exact tie), or a product
 within ``_MARGIN`` of 10^16 or 10^17 (this includes the exact powers of
-ten).  The characters of D come from a table of 0000-9999, and each string
-is gathered from them by a layout fixed by the sign, the notation (fixed
-for -4 <= k < 17, else d.ddde+XX) and the last nonzero digit, which ends
-the stripped mantissa.  The tables are built on first use, from exact
-integers.
+ten).  The ASCII digits of D come from a unit table of ``uint32`` words,
+each holding the four bytes of one of 0000-9999, and each string is
+gathered from them, byte by byte, by a layout fixed by the sign, the
+notation (fixed for -4 <= k < 17, else d.ddde+XX) and the last nonzero
+digit, which ends the stripped mantissa.  The strings are ASCII ``bytes``,
+ready to be written without encoding.  The tables are built on first use,
+from exact integers.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ _MARGIN = 2.0**-30
 _CHUNK = 2048
 #: Veltkamp's splitter for 53-bit doubles, 2^27 + 1
 _SPLIT = 134217729.0
-#: the string width: "-1.2345678901234567e-308" has 24 characters
+#: the string width: "-1.2345678901234567e-308" has 24 bytes
 _WIDTH = 24
-#: each value's characters, gathered in eight units of four from the unit
+#: each value's bytes, gathered in eight ``uint32`` units of four from the unit
 #: table (rows 0-9999 are the digits of 0000-9999): "000" and the first
 #: digit, the other 16 digits, "0.-e", the exponent sign over "0" and three
 #: exponent digits, and four NULs that pad a string to ``_WIDTH``
@@ -105,7 +107,7 @@ def _layout(negative, k, last, exponent_digits):
 def _tables():
     """The unit table, and the layouts indexed by (sign, class, last digit)."""
     text = "".join(f"{i:04d}" for i in range(10000)) + "0.-e" + "\0" * 4
-    units = np.array([text]).view("V16")
+    units = np.frombuffer(text.encode("ascii"), dtype=np.uint32)
     classes = [(k, 0) for k in _FIXED] + [(None, 2), (None, 3)]
     layouts = np.array(
         [
@@ -145,7 +147,7 @@ def _digits(values):
 
 
 def _format_chunk(values):
-    """``'%.17g' %`` of each value of one chunk."""
+    """``b'%.17g' %`` of each value of one chunk."""
     d, k, decided = _digits(values)
     units, layouts = _tables()
     unit = np.empty((values.size, 8), dtype=np.int64)
@@ -156,7 +158,7 @@ def _format_chunk(values):
     unit[:, 5] = _CONSTANTS_ROW
     unit[:, 6] = np.abs(k)
     unit[:, 7] = _NUL_ROW
-    chars = np.take(units, unit).view(np.uint32)
+    chars = np.take(units, unit).view(np.uint8)
     chars[:, _EXP_SIGN] = np.where(k < 0, ord("-"), ord("+"))
     # D > 0, so it has a last nonzero digit
     last = 16 - np.argmax(chars[:, _DIGIT + 16 : _DIGIT - 1 : -1] != ord("0"), axis=1)
@@ -165,14 +167,15 @@ def _format_chunk(values):
     code = (np.signbit(values) * _CLASSES + layout) * 17 + last
     index = np.take(layouts, code, axis=0)
     index += np.arange(0, chars.size, chars.shape[1])[:, None]
-    strings = np.take(chars, index).view(f"U{_WIDTH}").ravel().tolist()
+    # tolist() strips the NUL padding
+    strings = np.take(chars, index).view(f"S{_WIDTH}").ravel().tolist()
     for i in np.flatnonzero(~decided).tolist():
-        strings[i] = "%.17g" % float(values[i])
+        strings[i] = b"%.17g" % float(values[i])
     return strings
 
 
 def format17(values) -> list:
-    """``['%.17g' % v for v in values]`` for a 1-D float64 array, byte for byte."""
+    """``[b'%.17g' % v for v in values]`` for a 1-D float64 array, byte for byte."""
     values = np.asarray(values, dtype=np.float64)
     strings = []
     for start in range(0, values.size, _CHUNK):

@@ -5,13 +5,15 @@ row per record, fields separated by commas and lines ended by CRLF.
 Numbers are serialized with 17 significant digits so that re-reading a
 file reproduces the in-memory doubles bit-exactly; branch indices are
 integers and stability tags plain words, so no field is ever quoted.
-Rows are written in blocks, and within a block each distinct double of
-the float columns (keyed on its bits, so 0.0 and -0.0 stay apart) is
-formatted once: trajectory times repeat along a row, ages across rows, and
-untouched plateaus of s, i and r repeat bit for bit.  The distinct values
-of a block get their digits from an exact product in numpy
-(``_g17.format17``); a value the product cannot decide falls back, alone,
-to ``'%.17g' %``, and every byte is that of ``'%.17g' %``.
+Rows are written in blocks of ASCII ``bytes``, formatted, joined and
+written without a detour through ``str``.  Within a block the float
+columns are stacked, and each run of equal bits (so 0.0 and -0.0 stay
+apart, and so do NaN payloads) is formatted once: untouched plateaus of s,
+i and r repeat bit for bit down a column.  The trajectory's times and ages
+are formatted once per table and repeated as ready cells.  The run heads
+get their digits from an exact product in numpy (``_g17.format17``); a
+value the product cannot decide falls back, alone, to ``b'%.17g' %``, and
+every byte is that of ``'%.17g' %``.
 
 The blocks of a table are cut into contiguous shares, one per CPU in
 ``os.sched_getaffinity(0)`` and never more shares than blocks.  The
@@ -46,6 +48,8 @@ from .transport import StateField
 
 #: rows formatted per write call; bounds the temporary Python objects
 _BLOCK_ROWS = 8192
+#: the column kind of ready-formatted ``bytes`` cells
+_CELLS = "cells"
 
 
 def fmt(x: float) -> str:
@@ -56,9 +60,10 @@ def _write_table(path, header, columns) -> Path:
     """Write ``header`` and the rows of equal-length ``(values, format)`` columns.
 
     Each format is a printf conversion: ``%.17g`` for floats, ``%d`` for
-    integers, ``%s`` for words.  In each block of ``_BLOCK_ROWS`` rows the
-    ``%.17g`` columns are stacked, and each distinct bit pattern among them
-    is formatted once, by ``_g17.format17``; the bytes are those of
+    integers, ``%s`` for words; or ``_CELLS`` for ``bytes`` cells formatted
+    beforehand.  In each block of ``_BLOCK_ROWS`` rows the ``%.17g``
+    columns are stacked, and each run of equal bits among them is
+    formatted once, by ``_g17.format17``; the bytes are those of
     formatting every value with ``'%.17g' %``.
 
     Shares of blocks after the first are written by forked children (see
@@ -120,25 +125,30 @@ def _write_rows(handle, arrays, specs, start, stop) -> None:
     for block_start in range(start, stop, _BLOCK_ROWS):
         blocks = [array[block_start : block_start + _BLOCK_ROWS] for array in arrays]
         cells = [
-            None if spec == "%.17g" else [spec % value for value in block.tolist()]
+            block.tolist() if spec == _CELLS
+            else None if spec == "%.17g"
+            else [(spec % value).encode("ascii") for value in block.tolist()]
             for block, spec in zip(blocks, specs)
         ]
         if floats:
             for j, column in zip(floats, _float_cells([blocks[j] for j in floats])):
                 cells[j] = column
-        handle.write(("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode("ascii"))
+        handle.write(b"\r\n".join(map(b",".join, zip(*cells))) + b"\r\n")
 
 
 def _float_cells(blocks) -> list:
-    """The ``%.17g`` fields of equal-length float column blocks.
+    """The ``%.17g`` fields, as ``bytes``, of equal-length float column blocks.
 
-    Each distinct bit pattern among them is formatted once; the temporary
+    The blocks are stacked end to end, and each run of equal bits is
+    formatted once, in one ``format17`` call, and repeated; the temporary
     arrays are freed on return, before the rows are joined.
     """
     stacked = np.stack(blocks)
-    bits, inverse = np.unique(stacked.view(np.uint64), return_inverse=True)
-    distinct = np.array(format17(bits.view(float)), dtype=object)
-    return [texts.tolist() for texts in distinct[inverse.reshape(stacked.shape)]]
+    bits = stacked.view(np.uint64).ravel()
+    heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = np.array(format17(bits[heads].view(float)), dtype=object)
+    cells = np.repeat(texts, np.diff(heads, append=bits.size))
+    return cells.reshape(stacked.shape).tolist()
 
 
 def write_report(path, report: ThresholdReport) -> Path:
@@ -158,14 +168,19 @@ def write_b_series(path, times, values) -> Path:
 
 
 def write_trajectory(path, field: StateField) -> Path:
-    """Long-format rows (t, a, s, i, r) for every stored time row."""
-    times, ages = np.asarray(field.times), np.asarray(field.ages)
+    """Long-format rows (t, a, s, i, r) for every stored time row.
+
+    Times and ages are formatted once each; their cells are repeated down
+    the table.
+    """
+    times = np.array(format17(field.times), dtype=object)
+    ages = np.array(format17(field.ages), dtype=object)
     return _write_table(
         path,
         ["t", "a", "s", "i", "r"],
         [
-            (np.repeat(times, ages.size), "%.17g"),
-            (np.tile(ages, times.size), "%.17g"),
+            (np.repeat(times, ages.size), _CELLS),
+            (np.tile(ages, times.size), _CELLS),
             (np.ravel(field.s), "%.17g"),
             (np.ravel(field.i), "%.17g"),
             (np.ravel(field.r), "%.17g"),

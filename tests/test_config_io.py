@@ -1,7 +1,11 @@
 import os
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiage import (
     Branch,
@@ -16,6 +20,7 @@ from epiage import (
     render_config,
 )
 from epiage import io
+from epiage._g17 import format17
 from epiage.io import (
     _BLOCK_ROWS,
     read_trajectory,
@@ -342,6 +347,63 @@ def test_block_boundary_bytes(tmp_path):
         ["swept_value", "r0", "branch_index", "b_star", "stability", "i_star@0", "i_star@1"],
         ["%.17g", "%.17g", "%d", "%.17g", "%s", "%.17g", "%.17g"],
         list(zip(*rows)),
+    )
+
+
+#: doubles whose runs of equal bits the writer must keep apart: both zeros,
+#: both infinities, and two NaN payloads
+RUN_POOL = [
+    0.0, -0.0, 1.0 / 3.0, 5e-324, 1e-300, np.inf, -np.inf, np.nan,
+    float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]),
+]
+
+
+@st.composite
+def run_columns(draw):
+    """1-4 equal-length columns drawn from ``RUN_POOL``."""
+    n_rows = draw(st.integers(0, 30))
+    column = st.lists(st.sampled_from(RUN_POOL), min_size=n_rows, max_size=n_rows)
+    return draw(st.lists(column, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=run_columns(), block_rows=st.integers(1, 9))
+def test_runs_across_columns_and_blocks(tmp_path_factory, columns, block_rows):
+    """Runs of a small pool of doubles cross column and block boundaries."""
+    header, specs = [f"x{j}" for j in range(len(columns))], ["%.17g"] * len(columns)
+    path = tmp_path_factory.mktemp("runs") / "table.csv"
+    with mock.patch("epiage.io._BLOCK_ROWS", block_rows):
+        io._write_table(path, header, list(zip(columns, specs)))
+    assert path.read_bytes() == naive_table(header, specs, columns)
+
+
+def test_each_age_and_plateau_formatted_once(tmp_path, monkeypatch):
+    """A trajectory formats its ages and times once, and each run of equal
+    bits among s, i and r once: here s = 1 and i = r = 0 past age 10."""
+    formatted = []
+
+    def counted(values):
+        values = np.asarray(values, dtype=float)
+        formatted.append(values.size)
+        return format17(values)
+
+    monkeypatch.setattr(io, "format17", counted)
+    times, ages = np.array([0.0, 0.5, 1.0]), np.linspace(0.0, 100.0, 1000)
+    rng = np.random.default_rng(3)
+    young = ages <= 10.0
+    s, i, r = (np.where(young, rng.uniform(size=(3, 1000)), 0.0) for _ in "sir")
+    s[:, ~young] = 1.0
+    field = StateField(times, ages, s, i, r)
+    assert times.size * ages.size <= _BLOCK_ROWS
+    bits = np.concatenate([s.ravel(), i.ravel(), r.ravel()]).view(np.uint64)
+    heads = 1 + np.count_nonzero(bits[1:] != bits[:-1])
+    path = write_trajectory(tmp_path / "trajectory.csv", field)
+    assert sum(formatted) <= ages.size + times.size + heads
+    assert path.read_bytes() == naive_table(
+        ["t", "a", "s", "i", "r"],
+        ["%.17g"] * 5,
+        [np.repeat(times, ages.size), np.tile(ages, times.size)]
+        + [s.ravel(), i.ravel(), r.ravel()],
     )
 
 

@@ -7,9 +7,9 @@ population ``n0``.  A grid the gate rejects is rejected by ``simulate``.
 A trajectory written to CSV reads back bit for bit, and its bytes are
 those of formatting every value by itself.  The stage integrals psi_m of
 the exponential sweep are correct to a few ulp on both branches.  The
-numpy formatter behind the CSV writer gives the bytes of ``'%.17g' %`` on
-raw bit patterns, on powers of ten and their neighbours, and on exact and
-near ties of the 18th digit.
+numpy formatter behind the CSV writer gives the ASCII bytes of
+``'%.17g' %`` on raw bit patterns, on powers of ten and their neighbours,
+and on exact and near ties of the 18th digit.
 
 The steady solver's a-priori bound holds: from B_cut on, the pressure
 induced under B is at most m B / (m B + e) and the amplification is
@@ -220,7 +220,7 @@ def test_psi_within_4_ulp_of_series_reference(x):
 
 
 def printf_g17(values):
-    return ["%.17g" % value for value in values.tolist()]
+    return [("%.17g" % value).encode("ascii") for value in values.tolist()]
 
 
 def exact_ties():

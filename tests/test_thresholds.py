@@ -7,6 +7,7 @@ from epiage import (
     ConstantRates,
     NumericsError,
     ParameterSet,
+    ToleranceError,
     analysis_kernel,
     classify,
     dominant_growth_rate,
@@ -182,8 +183,6 @@ class TestDominantGrowthRate:
 
 class TestToleranceContract:
     def test_stalled_refinement_carries_best_estimate(self):
-        from epiage import ParameterSet, ToleranceError
-
         params = ParameterSet(
             mu=0.0125,
             beta=[(0.0, 5.0), (20.0, 60.0), (50.0, 10.0)],
@@ -196,6 +195,32 @@ class TestToleranceContract:
             r0(params, kernel, rtol=1e-15)
         # the estimate is still in the right ballpark
         assert 0.1 < err.value.best < 2.0
+
+    @pytest.mark.xfail(raises=ToleranceError, strict=True, reason="layer behind a knot")
+    def test_growth_rate_where_the_exit_pressure_jumps(self):
+        """The exit pressure drops from 17 to 0 over ages 53.5-54: G at the
+        root 40.4449 changes by 7e-6 down to 1e-9 over six refinements, so
+        the refinement never agrees to rtol 1e-9."""
+        params = ParameterSet(
+            mu=[(0, 0.064453125)], beta=[(0, 56)], phi=[(53.5, 17), (54, 0)],
+            gamma=[(0, 0)], rho=[(0, 0)], contact=[(0, 0.0625), (25, 3)],
+        )
+        report = classify(params, analysis_kernel(params))
+        assert report.growth_rate == pytest.approx(40.4449, rel=1e-5)
+
+    @pytest.mark.xfail(raises=ToleranceError, strict=True, reason="steep knot pair")
+    def test_growth_equation_past_a_steep_knot_pair(self):
+        """phi rises from 0 to 52 over ages 58-59: G at classify's root
+        changes by 3.4e-7 down to 1.0e-10 over six refinements, just above
+        rtol 1e-10."""
+        params = ParameterSet(
+            mu=[(0, 0.03125)], beta=[(0, 3)], phi=[(58, 0), (59, 52)],
+            gamma=[(0, 0)], rho=[(0, 0)],
+        )
+        kernel = analysis_kernel(params)
+        lam = classify(params, kernel).growth_rate
+        assert lam == pytest.approx(2.4986724, rel=1e-7)
+        assert euler_lotka(lam, params, kernel, rtol=1e-10) == pytest.approx(1.0, abs=1e-8)
 
 
 def level0_sweeps(monkeypatch, kernel):
