@@ -21,15 +21,22 @@ import numpy as np
 from .errors import DegenerateParameterError, DomainError
 from .parameters import ConstantRates
 
-#: |phi+gamma+B(rho-beta)| below this switches to the confluent limit
-_CONFLUENT_EPS = 1e-9
+#: the general form divides by K, D and K D; where K or |D| is below this
+#: share of K + B beta, or below the floor (K D underflows), the expm1
+#: form is used instead
+_CONFLUENT_SHARE = 1e-3
+_CONFLUENT_FLOOR = 1e-100
 
 
 def closed_form_profiles(B: float, rates: ConstantRates, ages):
     """Steady (s, i, r) at the given ages for frozen pressure B.
 
-    Handles the confluent case phi+gamma+B(rho-beta) = 0, where the two
-    exponentials coincide and the solution picks up an a*exp term.
+    With K = phi+gamma+B rho and D = K - B beta, the general form sums
+    s = exp(-B beta a) and exp(-K a) with weights in 1/K and 1/D.  Near
+    the confluent case D = 0, where the solution picks up an a*exp term,
+    and where K is small it would lose its digits; there r = (phi+gamma)
+    ((1 - exp(-K a))/K - (s - exp(-K a))/D) with both ratios from expm1,
+    and i = 1 - s - r.
     """
     if B < 0:
         raise DomainError("B must be >= 0")
@@ -44,17 +51,24 @@ def closed_form_profiles(B: float, rates: ConstantRates, ages):
     D = pg + B * (rates.rho - rates.beta)
     s = np.exp(-B * rates.beta * a)
     decay = np.exp(-K * a)
-    if abs(D) < _CONFLUENT_EPS:
-        i = B * rates.rho / K + (pg * (a + 1.0 / K) - 1.0) * decay
-        r = pg / K - pg * (a + 1.0 / K) * decay
-    else:
+    if min(K, abs(D)) > max(_CONFLUENT_SHARE * (K + B * rates.beta), _CONFLUENT_FLOOR):
         i = (
             B * rates.rho / K
             - (B * (rates.rho - rates.beta) / D) * s
             - (B * rates.beta * pg / (K * D)) * decay
         )
         r = pg / K - (pg / D) * s + (B * rates.beta * pg / (K * D)) * decay
-    return s, i, r
+        return s, i, r
+    # (s - decay) / D is the larger of the two exponentials times
+    # _fraction(|D|), so no term grows where D or K vanishes
+    larger = s if D > 0 else decay
+    r = pg * (_fraction(K, a) - larger * _fraction(abs(D), a))
+    return s, -np.expm1(-B * rates.beta * a) - r, r
+
+
+def _fraction(x: float, a):
+    """(1 - exp(-x a)) / x, which is a at x = 0."""
+    return a if x == 0 else -np.expm1(-x * a) / x
 
 
 def amplification_exact(B: float, rates: ConstantRates) -> float:

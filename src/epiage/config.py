@@ -33,6 +33,7 @@ two-column age,value file.  Example::
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,6 +123,13 @@ def _parse_float(text, line):
         raise ConfigError(f"not a number: {text!r}", line) from None
 
 
+def _parse_extent(text, line):
+    value = _parse_float(text, line)
+    if not 0.0 < value < math.inf:
+        raise ConfigError("grid extents must be positive and finite", line)
+    return value
+
+
 def _parse_profile(value, line, base_dir):
     value = value.strip()
     if value.startswith("@"):
@@ -207,8 +215,8 @@ def parse_config(text: str, base_dir=None) -> RunConfig:
     for key in ("age_max", "time_max", "age_steps"):
         if key not in gsec:
             raise ConfigError(f"[grid] missing {key!r}")
-    age_max = _parse_float(*gsec["age_max"])
-    time_max = _parse_float(*gsec["time_max"])
+    age_max = _parse_extent(*gsec["age_max"])
+    time_max = _parse_extent(*gsec["time_max"])
     n_age_text, n_age_line = gsec["age_steps"]
     try:
         n_age = int(n_age_text)
@@ -287,9 +295,9 @@ def _parse_initial(section, base_dir):
             if key not in section:
                 raise ConfigError(f"[initial] bump needs {key!r}")
             values[key] = _parse_float(*section[key])
-        if values["width"] <= 0:
+        if not values["width"] > 0:
             raise ConfigError("bump width must be positive", section["width"][1])
-        if values["center"] < values["width"]:
+        if not values["center"] >= values["width"]:
             raise ConfigError(
                 "bump must vanish at age 0: require center >= width",
                 section["center"][1],

@@ -152,36 +152,30 @@ def truncation_age(params: ParameterSet, cutoff: float = SURVIVAL_CUTOFF) -> flo
     return hi
 
 
+def _analysis_grid(params: ParameterSet, age_max: float, panels_per_block: int = 128):
+    """Graded grid suited to steady-state and threshold work.
+
+    The grid refines dyadically towards age 0 so that boundary layers of
+    width ~1/(phi+gamma+rho+beta) are resolved, while the far tail keeps
+    coarse blocks.
+    """
+    # mu + beta + phi + gamma + rho + 1, added in that order
+    fastest = sum(getattr(params, name).max_value() for name in RATE_NAMES[:5]) + 1.0
+    knots = np.concatenate([getattr(params, name).ages for name in RATE_NAMES])
+    return QuadratureGrid.graded(age_max, 1.0 / fastest, panels_per_block, knots=knots)
+
+
 def analysis_kernel(
     params,
     cutoff: float = SURVIVAL_CUTOFF,
     panels_per_block: int = 128,
     age_max: float | None = None,
 ) -> DemographicKernel:
-    """Kernel on a graded grid suited to steady-state and threshold work.
-
-    The grid refines dyadically towards age 0 so that boundary layers of
-    width ~1/(phi+gamma+rho+beta) are resolved, while the far tail keeps
-    coarse blocks.
-    """
+    """Kernel on the graded grid of ``_analysis_grid``."""
     params = as_parameter_set(params)
     if age_max is None:
         age_max = truncation_age(params, cutoff)
-    fastest = (
-        params.mu.max_value()
-        + params.beta.max_value()
-        + params.phi.max_value()
-        + params.gamma.max_value()
-        + params.rho.max_value()
-        + 1.0
-    )
-    knots = np.unique(
-        np.concatenate([getattr(params, name).ages for name in RATE_NAMES])
-    )
-    grid = QuadratureGrid.graded(
-        age_max, 1.0 / fastest, panels_per_block, knots=knots
-    )
-    return _kernel_on(params, grid)
+    return _kernel_on(params, _analysis_grid(params, age_max, panels_per_block))
 
 
 def refine_kernel(params, kernel: DemographicKernel) -> DemographicKernel:

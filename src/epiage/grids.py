@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 
+#: halvings of every panel a refinement chain may take before it gives up
+_MAX_REFINEMENTS = 6
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -31,8 +34,8 @@ class GridSpec:
     n_time: int
 
     def __post_init__(self):
-        if self.age_max <= 0 or self.time_max <= 0:
-            raise ParameterError("grid extents must be positive")
+        if not (0.0 < self.age_max < math.inf and 0.0 < self.time_max < math.inf):
+            raise ParameterError("grid extents must be positive and finite")
         if self.n_age < 2 or self.n_time < 2:
             raise ParameterError("grid needs at least 2 subintervals per axis")
 
@@ -45,10 +48,20 @@ class GridSpec:
         return self.time_max / self.n_time
 
     def age_nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.age_max, self.n_age + 1)
+        return _nodes(self.age_max, self.n_age)
 
     def time_nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.time_max, self.n_time + 1)
+        return _nodes(self.time_max, self.n_time)
+
+
+def _nodes(length: float, n: int) -> np.ndarray:
+    """n + 1 uniform nodes on [0, length].
+
+    Near the largest double the last node of linspace's ramp overflows
+    before linspace sets it to ``length``; the others stay finite.
+    """
+    with np.errstate(over="ignore"):
+        return np.linspace(0.0, length, n + 1)
 
 
 def _simpson_weights(n_panels: int, h: float) -> np.ndarray:
@@ -94,8 +107,8 @@ class QuadratureGrid:
 
     @classmethod
     def uniform(cls, length: float, n_panels: int) -> "QuadratureGrid":
-        if length <= 0 or n_panels < 2:
-            raise ParameterError("quadrature grid needs length > 0, panels >= 2")
+        if not 0.0 < length < math.inf or n_panels < 2:
+            raise ParameterError("quadrature grid needs finite length > 0, panels >= 2")
         nodes = np.linspace(0.0, length, n_panels + 1)
         w = _simpson_weights(n_panels, length / n_panels)
         return cls(nodes, w, ((0, n_panels),))
@@ -116,8 +129,8 @@ class QuadratureGrid:
         cell boundaries there, preserving the 4th-order behaviour of the
         rule and of the exponential sweep).
         """
-        if length <= 0 or finest <= 0:
-            raise ParameterError("length and finest scale must be positive")
+        if not (0.0 < length < math.inf and finest > 0.0):
+            raise ParameterError("length must be positive and finite, finest scale positive")
         if panels_per_block % 2 or panels_per_block < 2:
             raise ParameterError("panels_per_block must be even and >= 2")
         depth = max(1, math.ceil(math.log2(length / min(finest, length))))

@@ -13,7 +13,9 @@ At B = 0, u is R0's kernel W (W' = beta - (phi+gamma) W, W(0) = 0).
 pressure quadrature of u at every B >= 0: no division by B, and R0 on
 the kernel's grid at B = 0.  ``induced_pressure`` is B times it, and
 endemic states are its unit crossings in (0, 1].  r loses relative
-digits only at young ages, where r is far below i.
+digits only at young ages, where r is far below i.  ``infected_profile``
+and ``recovered_profile`` sweep u on the same graded grid, cut at the
+oldest requested age, and halve its panels until i and r converge.
 
 ``find_fixed_points`` scans the excess amplification - 1 on a coarse
 geometric set of probes from 1e-9 up to the a-priori bound B_cut above
@@ -43,15 +45,16 @@ excess(B0) and stays more than delta from 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _sweep
 from ._roots import crossings
-from .demography import DemographicKernel
-from .errors import DomainError, NumericsError, ParameterError
-from .grids import cell_stages
+from .demography import DemographicKernel, _analysis_grid
+from .errors import DomainError, NumericsError, ParameterError, ToleranceError
+from .grids import _MAX_REFINEMENTS, cell_stages
 from .parameters import as_parameter_set
 
 #: the fixed-point scan starts here; roots below it are not found
@@ -62,61 +65,63 @@ _SCAN_POINTS = 48
 _BOUND_MARGIN = 1e-2
 
 
-def _refined_ages(ages: np.ndarray, rate: float, target: float = 0.05):
-    """Subdivide cells so the source varies slowly within each sub-cell.
-
-    Returns the refined node array and the indices of the original ages in
-    it.  ``rate`` is the fastest variation rate of the inhomogeneous term;
-    sub-cells satisfy h * rate <= target.
-    """
-    h = np.diff(ages)
-    n_sub = np.maximum(1, np.ceil(h * rate / target).astype(int))
-    n_sub = np.minimum(n_sub, 4096)
-    pieces = [np.array([ages[0]])]
-    for left, width, n in zip(ages[:-1], h, n_sub):
-        pieces.append(left + width * np.arange(1, n + 1) / n)
-    refined = np.concatenate(pieces)
-    index = np.concatenate([[0], np.cumsum(n_sub)])
-    return refined, index
+def _check_pressure(B: float) -> None:
+    if not 0.0 <= B < math.inf:
+        raise DomainError("B must be finite and >= 0")
 
 
 def susceptible_profile(B: float, params, ages) -> np.ndarray:
     """s(a) = exp(-B * cumulative transmission rate)."""
-    if B < 0:
-        raise DomainError("B must be >= 0")
+    _check_pressure(B)
     params = as_parameter_set(params)
     ages = np.asarray(ages, dtype=float)
     return np.exp(-B * params.beta.cumulative(ages))
 
 
-def _refined_profiles(B: float, params, ages):
-    """(s, i, r) on ``ages``, swept on a sub-grid refined for pressure B.
+def _refined_profiles(B: float, params, ages, which: int) -> np.ndarray:
+    """i (``which`` 0) or r (1) at ``ages``, swept on the analysis grid up
+    to max(ages) with ``ages`` added as nodes, in whatever order they come.
 
-    The decay part of the sweep's kernel is exact at any step, but its
-    source needs sub-cells once B * beta is fast compared to the spacing
-    of ``ages``.
+    Every panel is halved until i and r at ``ages`` change by at most
+    1e-10; ``ToleranceError`` past ``_MAX_REFINEMENTS`` halvings.
     """
-    if B < 0:
-        raise DomainError("B must be >= 0")
+    _check_pressure(B)
     params = as_parameter_set(params)
     ages = np.asarray(ages, dtype=float)
     if ages.size == 0 or ages[0] != 0.0:
         raise DomainError("ages must start at 0 (boundary i(0) = r(0) = 0)")
-    refined, index = _refined_ages(ages, B * params.beta.max_value())
-    data = _SteadyData(params, refined)
-    return [profile[index] for profile in data.profiles(B, data.sweep(B))]
+    if not np.all(np.isfinite(ages)) or ages.min() < 0.0:
+        raise DomainError("ages must be finite and >= 0")
+    if ages.max() == 0.0:
+        return np.zeros_like(ages)
+
+    def at(grid):
+        nodes = np.union1d(grid.nodes, ages)
+        data = _SteadyData(params, nodes)
+        _, i, r = data.profiles(B, data.sweep(B))
+        return np.stack([i, r])[:, np.searchsorted(nodes, ages)]
+
+    grid = _analysis_grid(params, ages.max())
+    value = at(grid)
+    for _ in range(_MAX_REFINEMENTS):
+        grid = grid.refined()
+        finer = at(grid)
+        if np.abs(finer - value).max() <= 1e-10:
+            return finer[which]
+        value = finer
+    raise ToleranceError("profile refinement stalled above 1e-10", best=value[which])
+
+
+def infected_profile(B: float, params, ages) -> np.ndarray:
+    """Infected fraction i = B u of the frozen-pressure steady system, to
+    1e-10; ``ages`` must start at 0 and may come in any order."""
+    return _refined_profiles(B, params, ages, 0)
 
 
 def recovered_profile(B: float, params, ages) -> np.ndarray:
     """Temporarily recovered fraction r = (1 - s) - B u of the frozen-pressure
-    steady system; ``ages`` must start at 0."""
-    return _refined_profiles(B, params, ages)[2]
-
-
-def infected_profile(B: float, params, ages) -> np.ndarray:
-    """Infected fraction i = B u of the frozen-pressure steady system;
-    ``ages`` must start at 0."""
-    return _refined_profiles(B, params, ages)[1]
+    steady system, to 1e-10; ``ages`` must start at 0 and may come in any order."""
+    return _refined_profiles(B, params, ages, 1)
 
 
 class _SteadyData:
@@ -171,8 +176,7 @@ class SteadyState:
 def amplification(B: float, params, kernel: DemographicKernel) -> float:
     """Ratio of induced to assumed pressure, the quadrature of p u; at B = 0
     it is R0 on the kernel's grid."""
-    if B < 0:
-        raise DomainError("B must be >= 0")
+    _check_pressure(B)
     data = _SteadyData(as_parameter_set(params), kernel.ages)
     return _amplification(data, B, kernel)[0]
 
@@ -232,8 +236,8 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
     until |amplification - 1| <= tol.  Each root's profiles come from the
     u of the evaluation that found it, with no further sweep.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError("tol must be positive and finite")
     params = as_parameter_set(params)
     data = _SteadyData(params, kernel.ages)
 

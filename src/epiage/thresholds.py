@@ -23,6 +23,7 @@ only; see ``dominant_growth_rate``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,11 +33,11 @@ from . import _sweep
 from ._roots import bracketed_root
 from .demography import DemographicKernel, refine_kernel
 from .errors import NumericsError, ParameterError, ToleranceError
-from .grids import cell_stages
+from .grids import _MAX_REFINEMENTS, cell_stages
 from .parameters import as_parameter_set
 
-_MAX_REFINEMENTS = 6
 _BRACKET_LIMIT = 1e6
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,13 @@ class _LotkaData:
         return float(self.kernel.integrate(self.kernel.density * cum_beta))
 
 
+def _check_tolerance(value: float, name: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise ParameterError(f"{name} must be positive and finite")
+
+
 def _richardson(evaluate, data: _LotkaData, rtol: float):
+    _check_tolerance(rtol, "rtol")
     value = evaluate(data)
     if math.isinf(value):
         return value
@@ -132,11 +139,15 @@ def dominant_growth_rate(
     Richardson's check is made at the root only.  On each refined grid G
     is evaluated at the root, which is accepted once it is still within
     tol - rtol there and G changed by at most rtol = max(min(tol/10,
-    1e-9), 1e-12) relative on two refinements in a row: one small change
-    can come before the asymptotic range, where the changes still grow.
+    1e-9), 1e-12) relative and by at most half its last change: one
+    small change can come before the asymptotic range, where the changes
+    still grow.  A change within the rounding of a sum over the finer
+    grid's nodes is taken at once: converged changes are that noise and
+    need not halve.
     A root outside tol - rtol is solved again on the finer grid, from a
     step along the secant of the last grid solved on, and G at the new
-    root on the coarser grid gives its first change.  ``ToleranceError``
+    root on the coarser grid gives its change, held against the change
+    at the old root.  ``ToleranceError``
     (``best`` the last root) after ``_MAX_REFINEMENTS`` grids.
     """
     return _growth_rate(_LotkaData(as_parameter_set(params), kernel), tol)
@@ -156,8 +167,7 @@ def _residual(g_value: float) -> float:
 
 
 def _growth_rate(data: _LotkaData, tol: float) -> float:
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    _check_tolerance(tol, "tol")
     params = data.params
     if params.beta.max_value() <= 0:
         raise NumericsError("beta vanishes identically; G has no root")
@@ -186,11 +196,15 @@ def _growth_rate(data: _LotkaData, tol: float) -> float:
 
     # walk up the refinement chain evaluating at the root only: accept it
     # once G there is within tol - rtol of 1 and changed by at most rtol,
-    # and by at most half its last change at the same root (a first small
-    # change can come before the asymptotic range, where the changes still
-    # grow), else re-solve on the finer level next to it.  An exit
-    # pressure constant in age makes the sweep exact and leaves Simpson's
-    # error alone, whose first change is taken as it stands.
+    # and by at most half its last change (a first small change can come
+    # before the asymptotic range, where the changes still grow), else
+    # re-solve on the finer level next to it.  A re-solved root moves by
+    # far less than the grids' error, so its change is held against the
+    # last one.  An exit pressure constant in age makes the sweep exact
+    # and leaves Simpson's error alone, whose first change is taken as it
+    # stands.  So is a change within the rounding of a sum over the finer
+    # grid's nodes: once the quadrature has converged the changes are
+    # that noise, which need not halve.
     first = math.inf if np.ptp(data.exit_nodes) == 0.0 else math.nan
     solved, last = g, first
     for _ in range(_MAX_REFINEMENTS):
@@ -200,10 +214,11 @@ def _growth_rate(data: _LotkaData, tol: float) -> float:
         f_lam = f(lam)
         if abs(f_lam) > fine_ftol:
             lam = _near(f, solved, lam, f_lam, fine_ftol)
-            solved, last = g, first
+            solved = g
             coarse = coarser.g_value(lam)
         change = abs(g[lam] - coarse)
-        if change <= rtol * abs(g[lam]) and change <= 0.5 * last:
+        noise = level.kernel.ages.size * _EPS * abs(g[lam])
+        if change <= rtol * abs(g[lam]) and (change <= 0.5 * last or change <= noise):
             return lam
         last = change
     raise ToleranceError(f"growth-rate refinement stalled above rtol={rtol:g}", best=lam)
@@ -271,6 +286,7 @@ def classify(params, kernel: DemographicKernel, tol: float = 1e-8) -> ThresholdR
     The three share one set of grid samples and one chain of refined
     kernels, and R0's G(0) on the base grid ends the growth-rate bracket.
     """
+    _check_tolerance(tol, "tol")
     data = _LotkaData(as_parameter_set(params), kernel)
     r0_value = _r0(data)
     rc_value = _rc(data)

@@ -114,6 +114,18 @@ def test_bad_config_reports_line(config_path, tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("key, value", [("age_max", "nan"), ("time_max", "inf")])
+def test_non_finite_extent_reports_line(tmp_path, capsys, key, value):
+    lines = CONFIG.splitlines()
+    number = next(n for n, line in enumerate(lines, start=1) if line.startswith(key))
+    lines[number - 1] = f"{key} = {value}"
+    bad = tmp_path / "bad.ini"
+    bad.write_text("\n".join(lines))
+    code = main(["thresholds", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error: line {number}" in capsys.readouterr().err
+
+
 #: the files each config subcommand writes
 SUBCOMMAND_FILES = {
     "thresholds": {"report.txt"},

@@ -57,6 +57,17 @@ width = 5
 """
 
 
+def line_of(key):
+    """1-based line of ``key`` in BISTABLE_INI."""
+    lines = BISTABLE_INI.splitlines()
+    return next(n for n, line in enumerate(lines, start=1) if line.startswith(f"{key} ="))
+
+
+def with_value(key, value):
+    """BISTABLE_INI with ``key`` set to ``value``, on the same line."""
+    return BISTABLE_INI.replace(f"{key} = ", f"{key} = {value} #", 1)
+
+
 class TestParseConfig:
     def test_reference_constants(self):
         config = parse_config(BISTABLE_INI)
@@ -135,6 +146,29 @@ class TestParseConfig:
         text = BISTABLE_INI.replace("amplitude = 0.5", "amplitude = nan")
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("age_max", "nan"),
+            ("age_max", "inf"),
+            ("age_max", "0"),
+            ("time_max", "nan"),
+            ("time_max", "inf"),
+            ("time_max", "-1"),
+        ],
+    )
+    def test_grid_extent_must_be_positive_and_finite(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_value(key, value))
+        assert err.value.line == line_of(key)
+
+    @pytest.mark.parametrize("key", ["center", "width"])
+    def test_nan_bump_rejected(self, key):
+        """A NaN center or width would make the bump vanish everywhere."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_value(key, "nan"))
+        assert err.value.line == line_of(key)
 
     def test_round_trip_lossless(self):
         config = parse_config(BISTABLE_INI)

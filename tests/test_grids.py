@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,6 +22,29 @@ def test_grid_spec_validation():
         GridSpec(-1.0, 10.0, 10, 10)
     with pytest.raises(ParameterError):
         GridSpec(1.0, 10.0, 1, 10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_extents_rejected(bad):
+    with pytest.raises(ParameterError):
+        GridSpec(bad, 10.0, 10, 10)
+    with pytest.raises(ParameterError):
+        GridSpec(1.0, bad, 10, 10)
+    with pytest.raises(ParameterError):
+        QuadratureGrid.uniform(bad, 10)
+    with pytest.raises(ParameterError):
+        QuadratureGrid.graded(bad, 0.1)
+    with pytest.raises(ParameterError):
+        QuadratureGrid.graded(10.0, math.nan)
+
+
+def test_nodes_at_the_largest_extent():
+    """linspace's ramp overflows at its last node before it is set to the
+    extent; the nodes stay finite and end there."""
+    g = GridSpec(1.7976931348623157e308, 1.7976931348623157e308, 3, 3)
+    for nodes in (g.age_nodes(), g.time_nodes()):
+        assert np.all(np.isfinite(nodes))
+        assert nodes[-1] == 1.7976931348623157e308
 
 
 def test_uniform_simpson_exact_for_cubics():

@@ -15,11 +15,13 @@ The steady solver's a-priori bound holds: from B_cut on, the pressure
 induced under B is at most m B / (m B + e) and the amplification is
 below 1.  So does its floor: where the linear-response bound allows, the
 excess keeps the sign of the first probe, more than delta from 0.  The
-number of endemic states is odd exactly when R0 > 1.  A rendered config parses back to an equal one, and the sign of
-the growth rate is the sign of R0 - 1; the growth rate solves the
-converged growth equation to tol.  The root finder behind both
-pressure grids finds a close root pair between two samples, none where
-the maximum stays below 0, and an exact zero at a sample once.
+number of endemic states is odd exactly when R0 > 1.  The profile
+helpers meet the closed forms at unsorted, repeated ages.  A rendered
+config parses back to an equal one, and the sign of the growth rate is
+the sign of R0 - 1; the growth rate solves the converged growth
+equation to tol.  The root finder behind both pressure grids finds a
+close root pair between two samples, none where the maximum stays below
+0, and an exact zero at a sample once.
 """
 
 import math
@@ -30,7 +32,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epiage import (
@@ -46,11 +48,14 @@ from epiage import (
     amplification,
     analysis_kernel,
     classify,
+    closed_form_profiles,
     euler_lotka,
     find_fixed_points,
     induced_pressure,
+    infected_profile,
     parse_config,
     r0_rc_exact,
+    recovered_profile,
     render_config,
     simulate,
     stable_timestep,
@@ -308,6 +313,10 @@ def test_g17_matches_printf(bits, floats, chunk):
 
 @settings(max_examples=40, deadline=None)
 @given(params=rate_sets, share=st.floats(0.0, 1.0))
+@example(
+    params=ConstantRates(mu=0.5, beta=3.0, phi=0.0, gamma=4.0, rho=0.0).to_parameter_set(),
+    share=5e-324,
+)
 def test_no_endemic_pressure_past_the_bound(params, share):
     """With m = max(beta, rho) and e = min(phi + gamma), i(a) < m B / (m B + e)
     at every age, so no endemic state lies at B >= B_cut = 1/(1 - delta) - e/m
@@ -319,8 +328,12 @@ def test_no_endemic_pressure_past_the_bound(params, share):
     low = max(b_cut, 0.0)
     B = low + share * (1.0 - low)
     kernel = analysis_kernel(params)
-    assert induced_pressure(B, params, kernel) * (m * B + e) <= m * B
-    assert amplification(B, params, kernel) < 1.0
+    amp = amplification(B, params, kernel)
+    # the bound on i divided by B: at a subnormal B the product B * amp
+    # rounds to a multiple of 5e-324, which can lie above m B / (m B + e)
+    assert amp * (m * B + e) <= m
+    assert induced_pressure(B, params, kernel) == B * amp
+    assert amp < 1.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -470,6 +483,22 @@ def truncated_root_below_abscissa(params, kernel):
     return euler_lotka(-tail, params, kernel) < 1.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rates=constant_rate_sets,
+    B=st.floats(0.0, 1.0),
+    ages=st.lists(st.floats(0.0, 60.0), max_size=8).map(lambda rest: [0.0] + rest),
+)
+def test_profile_helpers_match_the_closed_forms(rates, B, ages):
+    """The sweep starts at age 0 like the closed forms, so nothing is
+    truncated: the helpers meet them at any ages, unsorted or repeated."""
+    assume(rates["phi"] + rates["gamma"] + rates["rho"] > 0.0)
+    rates = ConstantRates(**rates)
+    _, i_c, r_c = closed_form_profiles(B, rates, ages)
+    assert np.abs(infected_profile(B, rates, ages) - i_c).max() <= 1e-9
+    assert np.abs(recovered_profile(B, rates, ages) - r_c).max() <= 1e-9
+
+
 @settings(max_examples=40, deadline=None)
 @given(rates=constant_rate_sets)
 def test_growth_rate_sign_is_sign_of_r0_minus_1(rates):
@@ -527,6 +556,49 @@ def test_growth_rate_of_a_tiny_beta():
     kernel = analysis_kernel(params)
     assert truncated_root_below_abscissa(params, kernel)
     assert classify(params, kernel, tol=GROWTH_TOL).growth_rate < 0.0
+
+
+def test_growth_rate_where_the_changes_are_rounding_noise():
+    """A falsifying example of the converged-growth-equation property: G
+    at the root converged on the base grid, and its changes over six
+    refinements, 3e-14 to 3e-13, are rounding that need not halve."""
+    params = ParameterSet(
+        mu=AgeProfile.constant(0.0078125),
+        beta=AgeProfile.constant(1.0),
+        phi=AgeProfile.constant(0.0),
+        gamma=AgeProfile([0.0, 1.0], [0.0, 0.25]),
+        rho=AgeProfile.constant(0.0),
+        contact=AgeProfile.constant(1.0),
+        birth_rate=1.0,
+    )
+    kernel = analysis_kernel(params)
+    lam = classify(params, kernel, tol=GROWTH_TOL).growth_rate
+    assert abs(euler_lotka(lam, params, kernel, rtol=1e-10) - 1.0) <= GROWTH_TOL
+
+
+def test_growth_rate_re_solved_on_every_level():
+    """A falsifying example of the converged-growth-equation property: the
+    exit pressure falls to 0 at age 30 and jumps at 31, and the root moves
+    out of tol - rtol on five refinements in a row; each move used to
+    start the count of halving changes again, until the levels ran out.
+    Six refinements do not bring G there to 1e-10 relative; as in the
+    property, the last refined value stands in."""
+    params = ParameterSet(
+        mu=AgeProfile.constant(0.46875),
+        beta=AgeProfile.constant(1.0),
+        phi=AgeProfile.constant(0.0),
+        gamma=AgeProfile([0.0, 30.0, 31.0], [29.0, 0.0, 11.0]),
+        rho=AgeProfile.constant(0.0),
+        contact=AgeProfile.constant(1.0),
+        birth_rate=1.0,
+    )
+    kernel = analysis_kernel(params)
+    lam = classify(params, kernel, tol=GROWTH_TOL).growth_rate
+    try:
+        g = euler_lotka(lam, params, kernel, rtol=1e-10)
+    except ToleranceError as err:
+        g = err.best
+    assert abs(g - 1.0) <= GROWTH_TOL
 
 
 def test_growth_rate_of_a_pre_asymptotic_chain():

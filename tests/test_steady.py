@@ -16,7 +16,7 @@ from epiage import (
     susceptible_profile,
 )
 from epiage import _sweep, steady
-from epiage.errors import DomainError
+from epiage.errors import DomainError, ParameterError, ToleranceError
 
 
 def drinking_rates(beta):
@@ -75,6 +75,58 @@ class TestProfiles:
         with pytest.raises(DomainError):
             recovered_profile(0.1, rates_bistable, np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_ages_must_be_finite_and_nonnegative(self, rates_bistable, bad):
+        for helper in (infected_profile, recovered_profile):
+            with pytest.raises(DomainError):
+                helper(0.1, rates_bistable, np.array([0.0, bad, 2.0]))
+
+    def test_unsorted_ages(self, rates_bistable):
+        """Each requested age is a node of the sweep, in whatever order."""
+        ages = np.array([0.0, 2.0, 1.0])
+        _, i_c, r_c = closed_form_profiles(0.1, rates_bistable, ages)
+        assert np.abs(infected_profile(0.1, rates_bistable, ages) - i_c).max() < 1e-10
+        assert np.abs(recovered_profile(0.1, rates_bistable, ages) - r_c).max() < 1e-10
+
+    def test_repeated_ages(self, rates_bistable):
+        ages = np.array([0.0, 3.0, 3.0, 0.0, 1.5])
+        _, i_c, r_c = closed_form_profiles(0.2, rates_bistable, ages)
+        assert np.abs(infected_profile(0.2, rates_bistable, ages) - i_c).max() < 1e-10
+        assert np.abs(recovered_profile(0.2, rates_bistable, ages) - r_c).max() < 1e-10
+
+    def test_boundary_age_alone(self, rates_bistable):
+        for helper in (infected_profile, recovered_profile):
+            np.testing.assert_array_equal(helper(0.1, rates_bistable, [0.0]), [0.0])
+
+    def test_no_exit_by_death(self, rates_bistable):
+        """mu = 0 has no stationary mixing density, but the profiles need
+        none: mu does not enter them."""
+        from epiage import ParameterSet
+
+        params = ParameterSet(mu=0.0, beta=60.0, phi=60.0, gamma=13.0, rho=76.65)
+        ages = np.linspace(0.0, 20.0, 21)
+        _, i_c, r_c = closed_form_profiles(0.1, rates_bistable, ages)
+        assert np.abs(infected_profile(0.1, params, ages) - i_c).max() < 1e-10
+        assert np.abs(recovered_profile(0.1, params, ages) - r_c).max() < 1e-10
+
+    def test_refinement_cap_carries_best_estimate(self, rates_bistable, monkeypatch):
+        ages = np.linspace(0.0, 50.0, 11)
+        monkeypatch.setattr(steady, "_MAX_REFINEMENTS", 0)
+        with pytest.raises(ToleranceError) as err:
+            infected_profile(0.1, rates_bistable, ages)
+        _, i_c, _ = closed_form_profiles(0.1, rates_bistable, ages)
+        assert np.abs(err.value.best - i_c).max() < 1e-8
+
+    @pytest.mark.parametrize("B", [np.nan, np.inf])
+    def test_pressure_must_be_finite(self, rates_bistable, kernel_bistable, B):
+        ages = np.array([0.0, 1.0])
+        for helper in (susceptible_profile, infected_profile, recovered_profile):
+            with pytest.raises(DomainError):
+                helper(B, rates_bistable, ages)
+        for pressure_map in (amplification, induced_pressure):
+            with pytest.raises(DomainError):
+                pressure_map(B, rates_bistable, kernel_bistable)
+
 
 class TestAgeDependentOracle:
     def test_recovered_profile_matches_stiff_integrator(self):
@@ -106,6 +158,41 @@ class TestAgeDependentOracle:
             rtol=1e-11,
             atol=1e-13,
             max_step=1.0,
+        )
+        mine = recovered_profile(B, params, ages)
+        assert np.abs(oracle.y[0] - mine).max() < 1e-9
+
+    def test_rate_knots_inside_the_requested_cells(self):
+        """Knots at 33, 43, 61 and 67 fall inside cells of the requested
+        ages; they are nodes of the sweep all the same."""
+        from scipy.integrate import solve_ivp
+
+        from epiage import ParameterSet
+
+        params = ParameterSet(
+            mu=0.0125,
+            beta=[(0.0, 5.0), (15.0, 75.0), (35.0, 70.0), (60.0, 15.0), (100.0, 5.0)],
+            phi=[(0.0, 35.0), (33.0, 50.0), (61.0, 45.0), (100.0, 35.0)],
+            gamma=13.0,
+            rho=[(0.0, 20.0), (25.0, 65.0), (43.0, 85.0), (67.0, 80.0), (100.0, 40.0)],
+        )
+        B = 1e-4
+        exit_pressure = params.exit_pressure()
+
+        def rhs(a, y):
+            s = np.exp(-B * params.beta.cumulative(a))
+            return exit_pressure(a) * (1.0 - s - y[0]) - B * params.rho(a) * y[0]
+
+        ages = np.linspace(0.0, 100.0, 11)
+        oracle = solve_ivp(
+            rhs,
+            (0.0, 100.0),
+            [0.0],
+            t_eval=ages,
+            method="LSODA",
+            rtol=1e-12,
+            atol=1e-15,
+            max_step=0.05,
         )
         mine = recovered_profile(B, params, ages)
         assert np.abs(oracle.y[0] - mine).max() < 1e-9
@@ -267,6 +354,15 @@ class TestFindFixedPoints:
         calls = count_sweeps(monkeypatch)
         assert find_fixed_points(rates, kernel) == []
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
+    def test_bad_tolerance_rejected_before_any_sweep(
+        self, rates_bistable, kernel_bistable, monkeypatch, tol
+    ):
+        calls = count_sweeps(monkeypatch)
+        with pytest.raises(ParameterError):
+            find_fixed_points(rates_bistable, kernel_bistable, tol=tol)
+        assert calls == []
 
     def test_steady_state_invariants(self, rates_bistable, kernel_bistable):
         for state in find_fixed_points(rates_bistable, kernel_bistable):

@@ -6,6 +6,7 @@ from epiage import (
     AgeProfile,
     ConstantRates,
     NumericsError,
+    ParameterError,
     ParameterSet,
     ToleranceError,
     analysis_kernel,
@@ -234,6 +235,29 @@ def level0_sweeps(monkeypatch, kernel):
 
     monkeypatch.setattr(_sweep, "exp_sweep", counted)
     return lambda: sum(nodes) / kernel.ages.size
+
+
+class TestBadTolerance:
+    """A NaN, infinite or nonpositive tolerance is rejected before any
+    sweep, not after the root or refinement steps run out."""
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+    @pytest.mark.parametrize("solver", [classify, dominant_growth_rate])
+    def test_tol(self, rates_bistable, kernel_bistable, monkeypatch, solver, tol):
+        count = level0_sweeps(monkeypatch, kernel_bistable)
+        with pytest.raises(ParameterError):
+            solver(rates_bistable, kernel_bistable, tol=tol)
+        assert count() == 0
+
+    @pytest.mark.parametrize("rtol", [np.nan, np.inf, 0.0, -1e-8])
+    @pytest.mark.parametrize(
+        "value", [r0, rc, lambda *args, **kw: euler_lotka(0.5, *args, **kw)]
+    )
+    def test_rtol(self, rates_bistable, kernel_bistable, monkeypatch, value, rtol):
+        count = level0_sweeps(monkeypatch, kernel_bistable)
+        with pytest.raises(ParameterError):
+            value(rates_bistable, kernel_bistable, rtol=rtol)
+        assert count() == 0
 
 
 class TestClassify:
