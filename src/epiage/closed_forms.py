@@ -38,8 +38,8 @@ def closed_form_profiles(B: float, rates: ConstantRates, ages):
     ((1 - exp(-K a))/K - (s - exp(-K a))/D) with both ratios from expm1,
     and i = 1 - s - r.
     """
-    if B < 0:
-        raise DomainError("B must be >= 0")
+    if not 0.0 <= B < math.inf:
+        raise DomainError("B must be finite and >= 0")
     a = np.asarray(ages, dtype=float)
     if np.any(a < 0):
         raise DomainError("ages must be >= 0")
@@ -78,8 +78,8 @@ def amplification_exact(B: float, rates: ConstantRates) -> float:
             "rational amplification needs beta > 0 and rho > 0; "
             "use the general machinery for degenerate rates"
         )
-    if B < 0:
-        raise DomainError("B must be >= 0")
+    if not 0.0 <= B < math.inf:
+        raise DomainError("B must be finite and >= 0")
     mu, pg = rates.mu, rates.exit_pressure
     return (B + mu / rates.rho) / (
         (B + mu / rates.beta) * (B + (mu + pg) / rates.rho)

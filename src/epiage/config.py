@@ -295,6 +295,8 @@ def _parse_initial(section, base_dir):
             if key not in section:
                 raise ConfigError(f"[initial] bump needs {key!r}")
             values[key] = _parse_float(*section[key])
+            if not math.isfinite(values[key]):
+                raise ConfigError(f"bump {key} must be finite", section[key][1])
         if not values["width"] > 0:
             raise ConfigError("bump width must be positive", section["width"][1])
         if not values["center"] >= values["width"]:

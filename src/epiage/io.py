@@ -15,16 +15,25 @@ get their digits from an exact product in numpy (``_g17.format17``); a
 value the product cannot decide falls back, alone, to ``b'%.17g' %``, and
 every byte is that of ``'%.17g' %``.
 
-The blocks of a table are cut into contiguous shares, one per CPU in
-``os.sched_getaffinity(0)`` and never more shares than blocks.  The
-calling process writes the header and the first share into the file; each
-later share is written by a child made with ``os.fork`` into its own
-temporary spool, and the parent reaps the children in order and appends
-their spools.  Every share runs the same per-block code, so the bytes do
-not depend on how many shares there are.  One process writes the whole
-table where ``os.fork`` or ``os.sched_getaffinity`` is missing, where one
-CPU is available, or where the table is one block.  On Python 3.12 and
-later a process running other OS threads (an OpenBLAS pool when
+A table's rows may be written while they are produced: the trajectory
+is written while ``transport._march`` simulates it, and its rows live in
+an anonymous shared mapping.  The calling process writes the header and
+forks one front writer, which claims blocks in order as the producer
+publishes them and writes them straight into the file.  Once the producer
+is done, the calling process claims blocks from the back into a temporary
+spool, beside ``n_cpus - 2`` more forked back writers, each with its own
+spool; ``n_cpus`` is the size of ``os.sched_getaffinity(0)``, and there
+are never more writers than blocks.  For a table whose rows are all
+present the producer is done at once.  Front and back meet through two
+claim counters and the published row count, in a small shared mapping;
+they are read and changed only while holding a one-byte pipe token, so a
+writer reads a row only after a system call that followed the row's
+store.  Once the children are reaped, the back blocks are appended in
+order.  Every writer runs the same per-block code, so the bytes do not
+depend on how the blocks were shared.  One process writes the whole table
+where ``os.fork`` or ``os.sched_getaffinity`` is missing, where one CPU
+is available, or where the table is one block.  On Python 3.12 and later
+a process running other OS threads (an OpenBLAS pool when
 ``OPENBLAS_NUM_THREADS`` is unset) gets CPython's fork
 ``DeprecationWarning``.
 """
@@ -32,8 +41,8 @@ later a process running other OS threads (an OpenBLAS pool when
 from __future__ import annotations
 
 import csv
+import mmap
 import os
-import shutil
 import tempfile
 from contextlib import ExitStack
 from pathlib import Path
@@ -50,13 +59,16 @@ from .transport import StateField
 _BLOCK_ROWS = 8192
 #: the column kind of ready-formatted ``bytes`` cells
 _CELLS = "cells"
+#: the shared counters of a forked table write: blocks claimed from the
+#: front, the first block claimed from the back, and the rows published
+_FRONT, _BACK, _READY = range(3)
 
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_table(path, header, columns) -> Path:
+def _write_table(path, header, columns, stored=None) -> Path:
     """Write ``header`` and the rows of equal-length ``(values, format)`` columns.
 
     Each format is a printf conversion: ``%.17g`` for floats, ``%d`` for
@@ -66,8 +78,13 @@ def _write_table(path, header, columns) -> Path:
     formatted once, by ``_g17.format17``; the bytes are those of
     formatting every value with ``'%.17g' %``.
 
-    Shares of blocks after the first are written by forked children (see
-    the module docstring); raises ``OSError`` naming the file if one fails.
+    ``stored`` is None when every row is present.  Otherwise it is the
+    producer of the rows: an iterable that fills them in order as it runs
+    and yields how many it has filled, ending with all of them.
+
+    Blocks are shared among processes (see the module docstring).  On any
+    exception the file is removed; the exception is the producer's own,
+    or ``OSError`` naming the file if a forked writer failed.
     """
     path = Path(path)
     arrays = [
@@ -78,45 +95,179 @@ def _write_table(path, header, columns) -> Path:
     n_rows = len(arrays[0])
     if any(len(array) != n_rows for array in arrays):
         raise ShapeError(f"columns differ in length: {[len(a) for a in arrays]}")
-    n_blocks = -(-n_rows // _BLOCK_ROWS)
     forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     n_cpus = len(os.sched_getaffinity(0)) if forkable else 1
-    n_shares = max(1, min(n_cpus, n_blocks))
-    edges = [n_blocks * k // n_shares * _BLOCK_ROWS for k in range(n_shares)] + [n_rows]
-    with open(path, "wb") as handle, ExitStack() as stack:
-        handle.write((",".join(header) + "\r\n").encode("ascii"))
-        pids, spools = [], []
-        try:
-            for start, stop in zip(edges[1:], edges[2:]):
-                spools.append(stack.enter_context(tempfile.TemporaryFile()))
-                pids.append(_fork_writer(spools[-1], arrays, specs, start, stop))
-            _write_rows(handle, arrays, specs, 0, edges[1])
-        finally:
-            failed = [pid for pid in pids if os.waitpid(pid, 0)[1] != 0]
-        if failed:
-            raise OSError(f"writing {path}: {len(failed)} of {len(pids)} forked writers failed")
-        for spool in spools:
-            spool.seek(0)
-            shutil.copyfileobj(spool, handle)
+    n_workers = min(n_cpus, -(-n_rows // _BLOCK_ROWS))
+    try:
+        with open(path, "wb") as handle:
+            handle.write((",".join(header) + "\r\n").encode("ascii"))
+            if n_workers < 2:
+                _produce(stored, n_rows, lambda rows: None)
+                _write_rows(handle, arrays, specs, 0, n_rows)
+            else:
+                _share_blocks(handle, arrays, specs, n_workers, stored)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
-def _fork_writer(spool, arrays, specs, start, stop) -> int:
-    """Fork a child that writes rows [start, stop) into ``spool``; its pid.
+def _produce(stored, n_rows, publish) -> None:
+    """Run the producer ``stored`` to its end.
 
-    The child never returns: it exits with status 0 once the spool is
-    flushed, and with 1 on any exception.
+    ``publish(rows)`` is called each time a block is completed, and once
+    more at the end with every row.
+    """
+    rows, mark = 0, _BLOCK_ROWS
+    for rows in (n_rows,) if stored is None else stored:
+        if rows >= mark:
+            publish(rows)
+            mark = rows - rows % _BLOCK_ROWS + _BLOCK_ROWS
+    if rows != n_rows:
+        raise ShapeError(f"the producer filled {rows} of {n_rows} rows")
+    publish(rows)
+
+
+class _Token:
+    """A one-byte pipe token: the process that has read the byte alone may
+    touch the shared counters, and writes the byte back when done."""
+
+    def __init__(self):
+        self._read, self._write = os.pipe()
+        os.write(self._write, b".")
+
+    def __enter__(self):
+        os.read(self._read, 1)
+
+    def __exit__(self, *exc):
+        os.write(self._write, b".")
+
+    def close(self):
+        os.close(self._read)
+        os.close(self._write)
+
+
+def _share_blocks(handle, arrays, specs, n_workers, stored) -> None:
+    """Write the rows into ``handle``, after its header, with ``n_workers``
+    processes: one forked front writer, this process and ``n_workers - 2``
+    forked back writers (see the module docstring)."""
+    n_blocks = -(-len(arrays[0]) // _BLOCK_ROWS)
+    # the claim counters and the published row count, then where each block
+    # claimed from the back sits: (spool, offset, length)
+    control = np.frombuffer(mmap.mmap(-1, 8 * (3 + 3 * n_blocks)), dtype=np.int64)
+    control[_BACK] = n_blocks
+    handle.flush()
+    pids = []
+    with ExitStack() as stack:
+        token = _Token()
+        stack.callback(token.close)
+        spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(n_workers - 1)]
+        try:
+            _run_front(handle, arrays, specs, control, token, stored, pids)
+            for owner, spool in enumerate(spools[1:], start=1):
+                pids.append(_fork(_claim_back, spool, arrays, specs, control, token, owner))
+            _claim_back(spools[0], arrays, specs, control, token, 0)
+        finally:
+            failed = [pid for pid in pids if os.waitpid(pid, 0)[1] != 0]
+        if failed:
+            raise OSError(
+                f"writing {handle.name}: {len(failed)} of {len(pids)} forked writers failed"
+            )
+        handle.seek(0, os.SEEK_END)
+        places = control[3:].reshape(n_blocks, 3)
+        for owner, offset, length in places[control[_BACK] :].tolist():
+            spools[owner].seek(offset)
+            handle.write(spools[owner].read(length))
+
+
+def _run_front(handle, arrays, specs, control, token, stored, pids) -> None:
+    """Fork the front writer, add its pid to ``pids``, and run the producer
+    ``stored`` beside it, publishing each completed block."""
+    wake_read, wake = os.pipe()
+
+    def publish(rows):
+        with token:
+            control[_READY] = rows
+        try:
+            os.write(wake, b".")
+        except (BrokenPipeError, BlockingIOError):
+            pass  # the front writer is gone, or has wake-ups enough queued
+
+    try:
+        os.set_blocking(wake, False)
+        try:
+            pids.append(_fork(_claim_front, handle, arrays, specs, control, token, wake_read))
+        finally:
+            os.close(wake_read)
+        _produce(stored, len(arrays[0]), publish)
+    except BaseException:
+        with token:
+            control[_BACK] = 0  # the front writer stops at its next claim
+        raise
+    finally:
+        os.close(wake)  # the front writer's last wake-up
+
+
+def _fork(work, *args) -> int:
+    """Fork a child that runs ``work(*args)``; its pid.
+
+    The child never returns: it exits with status 0 once ``work`` returns,
+    and with 1 on any exception.
     """
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            _write_rows(spool, arrays, specs, start, stop)
-            spool.flush()
+            work(*args)
             code = 0
         finally:
             os._exit(code)
     return pid
+
+
+def _claim_front(handle, arrays, specs, control, token, wake) -> None:
+    """Claim blocks in order as they are published, and write each into
+    ``handle``; wait on ``wake`` while the next block is unpublished.
+
+    Returns once the front meets the back, or once ``wake`` is closed and
+    the next block is still unpublished.
+    """
+    n_rows = len(arrays[0])
+    waking = True
+    while True:
+        with token:
+            block, back, ready = control[:3].tolist()
+            start = block * _BLOCK_ROWS
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            claimed = block < back and ready >= stop
+            if claimed:
+                control[_FRONT] = block + 1
+        if claimed:
+            _write_rows(handle, arrays, specs, start, stop)
+        elif block >= back or not waking:
+            break
+        else:
+            waking = os.read(wake, 1) != b""
+    handle.flush()
+
+
+def _claim_back(spool, arrays, specs, control, token, owner) -> None:
+    """Claim blocks from the back until the back meets the front; write
+    each into ``spool`` and record where it sits there."""
+    n_rows = len(arrays[0])
+    places = control[3:].reshape(-1, 3)
+    while True:
+        with token:
+            block = int(control[_BACK]) - 1
+            claimed = block >= control[_FRONT]
+            if claimed:
+                control[_BACK] = block
+        if not claimed:
+            break
+        start, offset = block * _BLOCK_ROWS, spool.tell()
+        _write_rows(spool, arrays, specs, start, min(start + _BLOCK_ROWS, n_rows))
+        places[block] = owner, offset, spool.tell() - offset
+    spool.flush()
 
 
 def _write_rows(handle, arrays, specs, start, stop) -> None:
@@ -167,11 +318,13 @@ def write_b_series(path, times, values) -> Path:
     return _write_table(path, ["t", "B"], [(times, "%.17g"), (values, "%.17g")])
 
 
-def write_trajectory(path, field: StateField) -> Path:
+def write_trajectory(path, field: StateField, stored=None) -> Path:
     """Long-format rows (t, a, s, i, r) for every stored time row.
 
     Times and ages are formatted once each; their cells are repeated down
-    the table.
+    the table.  ``stored``, if given, is the rest of the ``transport._march``
+    generator whose first yield was ``field``: the rows are written while it
+    runs, and an exception it raises removes the file and propagates.
     """
     times = np.array(format17(field.times), dtype=object)
     ages = np.array(format17(field.ages), dtype=object)
@@ -185,6 +338,7 @@ def write_trajectory(path, field: StateField) -> Path:
             (np.ravel(field.i), "%.17g"),
             (np.ravel(field.r), "%.17g"),
         ],
+        None if stored is None else (rows * ages.size for rows in stored),
     )
 
 

@@ -37,7 +37,7 @@ from .grids import GridSpec
 from .parameters import ConstantRates, ParameterSet, as_parameter_set
 from .steady import find_fixed_points
 from .thresholds import classify
-from .transport import auto_time_steps, simulate
+from .transport import _march, auto_time_steps
 
 #: the growth-rate equation is solved to max(tol, this)
 _GROWTH_TOL_FLOOR = 1e-9
@@ -118,10 +118,17 @@ def _simulation(run: _Run):
     ages = config.grid.age_nodes()
     s0, i0, r0 = config.initial.rows(ages)
     run.written["initial"] = io.write_initial(run.out / "initial.csv", ages, s0, i0, r0)
-    trajectory = simulate(config.params, (s0, i0, r0), config.grid, store=config.stride)
+    steps = _march(config.params, (s0, i0, r0), config.grid, store=config.stride)
+    field, done = next(steps), []
+
+    def stored():
+        done.append((yield from steps))
+
+    # the trajectory is written while it is simulated
     run.written["trajectory"] = io.write_trajectory(
-        run.out / "trajectory.csv", trajectory.field
+        run.out / "trajectory.csv", field, stored=stored()
     )
+    trajectory = done[0]
     run.written["b_series"] = io.write_b_series(
         run.out / "b_series.csv", config.grid.time_nodes(), trajectory.b_series
     )

@@ -14,6 +14,8 @@ sum s+i+r and conservation holds to roundoff.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +159,26 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
         total population ``population_on(params, n0, ages)`` at that time.
     store: "auto" or a stride int controlling rows kept ("full" is the
         same as 1; the final row and every monitor are always exact).
+
+    The time loop is ``_march``, which also feeds the trajectory writer of
+    ``presets`` while it runs: the stored rows live in an anonymous shared
+    mapping, so a writer forked before a row is stored still reads it.
+    """
+    steps = _march(params, initial, grid, n0, store)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as end:
+            return end.value
+
+
+def _march(params, initial, grid: GridSpec, n0=None, store="auto"):
+    """``simulate`` as a generator; its return value is the ``Trajectory``.
+
+    Every check of ``simulate`` runs before the first ``yield``, which
+    yields the ``StateField``; its s, i and r rows are filled in as the
+    time loop runs.  Each later ``yield`` gives the number of rows stored
+    so far, once that row is stored.
     """
     params = as_parameter_set(params)
     gate = stable_timestep(params, grid)
@@ -195,14 +217,16 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
         )
     stride = 1 if store == "full" else max(1, int(store))
     kept_j = np.append(np.arange(0, n_time, stride), n_time)
-    out_s = np.empty((kept_j.size, nodes.size))
-    out_i = np.empty_like(out_s)
-    out_r = np.empty_like(out_s)
+    shape = (3, kept_j.size, nodes.size)
+    rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    time_nodes = grid.time_nodes()
+    field = StateField(time_nodes[kept_j], nodes, *rows)
     b_series = np.empty(n_time + 1)
+    yield field
 
     conservation = 0.0
     minimum = np.inf
-    time_nodes = grid.time_nodes()
+    n_stored = 0
     for j in range(n_time + 1):
         if n0 is not None:
             weighted = contact * population(time_nodes[j])
@@ -217,23 +241,23 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
         row_min = float(state.min())
         minimum = min(minimum, row_min)
         if row_min < _POSITIVITY_ABORT:
-            field = min((s.min(), "s"), (i.min(), "i"), (r.min(), "r"))[1]
-            k = int(np.argmin({"s": s, "i": i, "r": r}[field]))
+            worst = min((s.min(), "s"), (i.min(), "i"), (r.min(), "r"))[1]
+            k = int(np.argmin({"s": s, "i": i, "r": r}[worst]))
             raise TimeStepError(
-                f"positivity lost at step {j}, age node {k} ({field} = {row_min:g}); "
+                f"positivity lost at step {j}, age node {k} ({worst} = {row_min:g}); "
                 f"largest safe dt = {gate.dt_max:.6g}",
                 suggested_dt=gate.dt_max,
                 node=(j, k),
             )
-        if j % stride == 0:
-            out_s[j // stride], out_i[j // stride], out_r[j // stride] = s, i, r
+        if j % stride == 0 or j == n_time:
+            rows[:, n_stored] = state
+            n_stored += 1
+            yield n_stored
         if j == n_time:
             break
         state = _step(state, B, dt, da, beta, exit_pressure, rho)
         s, i, r = state
-    out_s[-1], out_i[-1], out_r[-1] = s, i, r
 
-    field = StateField(times=time_nodes[kept_j], ages=nodes, s=out_s, i=out_i, r=out_r)
     return Trajectory(
         grid=grid,
         field=field,

@@ -114,7 +114,9 @@ def test_bad_config_reports_line(config_path, tmp_path, capsys):
     assert "line" in err
 
 
-@pytest.mark.parametrize("key, value", [("age_max", "nan"), ("time_max", "inf")])
+@pytest.mark.parametrize(
+    "key, value", [("age_max", "nan"), ("time_max", "inf"), ("center", "inf"), ("width", "inf")]
+)
 def test_non_finite_extent_reports_line(tmp_path, capsys, key, value):
     lines = CONFIG.splitlines()
     number = next(n for n, line in enumerate(lines, start=1) if line.startswith(key))

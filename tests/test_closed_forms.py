@@ -10,6 +10,7 @@ from epiage import (
     fixed_points_exact,
     r0_rc_exact,
 )
+from epiage.errors import DomainError
 
 
 def bisect_rational(rates, lo, hi, tol=1e-12):
@@ -89,6 +90,15 @@ class TestRationalAmplification:
             amplification_exact(0.5, no_relapse)
         with pytest.raises(DegenerateParameterError):
             fixed_points_exact(no_relapse)
+
+
+@pytest.mark.parametrize("B", [np.nan, np.inf, -np.inf, -0.1])
+def test_pressure_must_be_finite_and_nonnegative(rates_bistable, B):
+    """A NaN or infinite B used to give NaN profiles and a NaN factor."""
+    with pytest.raises(DomainError):
+        closed_form_profiles(B, rates_bistable, [0.0, 1.0])
+    with pytest.raises(DomainError):
+        amplification_exact(B, rates_bistable)
 
 
 class TestThresholdRatios:

@@ -1,5 +1,7 @@
+import mmap
 import os
-
+import signal
+import time
 from unittest import mock
 
 import numpy as np
@@ -12,14 +14,16 @@ from epiage import (
     ConfigError,
     ConstantRates,
     DiagramRow,
+    GridSpec,
     ShapeError,
     StateField,
     SteadyState,
     cosine_bump,
     parse_config,
     render_config,
+    simulate,
 )
-from epiage import io
+from epiage import io, transport
 from epiage._g17 import format17
 from epiage.io import (
     _BLOCK_ROWS,
@@ -168,6 +172,15 @@ class TestParseConfig:
         """A NaN center or width would make the bump vanish everywhere."""
         with pytest.raises(ConfigError) as err:
             parse_config(with_value(key, "nan"))
+        assert err.value.line == line_of(key)
+
+    @pytest.mark.parametrize("key", ["amplitude", "center", "width"])
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_bump_rejected(self, key, value):
+        """Rejected on the key's own line; an infinite center or width used
+        to make the bump vanish everywhere."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_value(key, value))
         assert err.value.line == line_of(key)
 
     def test_round_trip_lossless(self):
@@ -492,6 +505,136 @@ def test_failed_writer_raises(tmp_path, monkeypatch):
         io._write_table(tmp_path / "table.csv", header, list(zip(columns, specs)))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def on_cpus(pinned, write):
+    """``write()`` run pinned to one CPU, or on the full CPU mask."""
+    mask = os.sched_getaffinity(0)
+    try:
+        if pinned:
+            os.sched_setaffinity(0, {min(mask)})
+        return write()
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+def filling(columns, counts):
+    """Float columns in a shared mapping, at first all 7.0 (a value no
+    column holds), and a producer that fills their rows up to each of
+    ``counts`` in turn and yields that count.  It pauses before each fill,
+    so that a writer reading rows before they are published reads 7.0."""
+    values = np.array(columns, dtype=float).reshape(len(columns), -1)
+    shared = np.frombuffer(mmap.mmap(-1, 8 * max(1, values.size)), dtype=float)
+    shared = shared[: values.size].reshape(values.shape)
+    shared[:] = 7.0
+
+    def produce():
+        filled = 0
+        for count in counts:
+            time.sleep(0.001)
+            shared[:, filled:count] = values[:, filled:count]
+            filled = count
+            yield count
+
+    return shared, produce()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    columns=run_columns(),
+    block_rows=st.integers(1, 9),
+    pinned=st.booleans(),
+)
+def test_streamed_table_bytes(tmp_path_factory, data, columns, block_rows, pinned):
+    """Rows published in uneven, repeated steps, some inside a block, are
+    each read only once published: the bytes are those of formatting
+    every value by itself."""
+    n_rows = len(columns[0])
+    steps = data.draw(st.lists(st.integers(0, n_rows), max_size=12))
+    shared, produce = filling(columns, sorted(steps) + [n_rows])
+    header, specs = [f"x{j}" for j in range(len(columns))], ["%.17g"] * len(columns)
+    path = tmp_path_factory.mktemp("streamed") / "table.csv"
+    with mock.patch("epiage.io._BLOCK_ROWS", block_rows):
+        on_cpus(pinned, lambda: io._write_table(path, header, list(zip(shared, specs)), produce))
+    assert path.read_bytes() == naive_table(header, specs, columns)
+
+
+@pytest.mark.parametrize("pinned", [True, False], ids=["one-cpu", "every-cpu"])
+def test_streamed_trajectory_bytes(tmp_path, monkeypatch, pinned):
+    """A trajectory of several blocks written while it is simulated has
+    the bytes of the finished field's; on several CPUs one front writer
+    and one back writer per CPU past two are forked."""
+    mask = os.sched_getaffinity(0)
+    if not pinned and len(mask) < 2:
+        pytest.skip("needs at least 2 CPUs")
+    rates = ConstantRates(mu=0.0125, beta=60.0, phi=60.0, gamma=13.0, rho=76.65)
+    grid = GridSpec(100.0, 0.5, 400, transport.auto_time_steps(rates, 100.0, 0.5, 400))
+    i0 = cosine_bump(grid.age_nodes(), 0.5, 20.0, 5.0)
+    initial = (1.0 - i0, i0, np.zeros_like(i0))
+    finished = simulate(rates, initial, grid, store=1).field
+    expected = write_trajectory(tmp_path / "finished.csv", finished).read_bytes()
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    steps = transport._march(rates, initial, grid, store=1)
+    field = next(steps)
+    n_blocks = -(-field.s.size // _BLOCK_ROWS)
+    assert n_blocks >= 3
+    path = on_cpus(
+        pinned, lambda: write_trajectory(tmp_path / "streamed.csv", field, stored=steps)
+    )
+    assert path.read_bytes() == expected
+    assert len(forks) == (0 if pinned else min(len(mask), n_blocks) - 1)
+
+
+@pytest.mark.parametrize("pinned", [True, False], ids=["one-cpu", "every-cpu"])
+def test_failed_producer_removes_the_table(tmp_path, pinned):
+    """The producer's own exception propagates, after every forked writer
+    is reaped and the partial file removed."""
+    header, specs, columns = five_block_table()
+    boom = RuntimeError("positivity lost")
+
+    def producer():
+        yield _BLOCK_ROWS
+        yield 2 * _BLOCK_ROWS
+        raise boom
+
+    path, columns = tmp_path / "table.csv", list(zip(columns, specs))
+    with pytest.raises(RuntimeError) as err:
+        on_cpus(pinned, lambda: io._write_table(path, header, columns, producer()))
+    assert err.value is boom
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not path.exists()
+
+
+def test_more_writers_than_cores(tmp_path, monkeypatch):
+    """Told of 8 CPUs, a streamed 5-block table forks one front writer and
+    three back writers, however many cores there are, and keeps its bytes;
+    a minute's alarm fails the test rather than let a lost wake-up hang it."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    header, specs, columns = five_block_table()
+    ints, floats, words = columns
+    shared, produce = filling([floats], list(range(0, len(floats), 1000)) + [len(floats)])
+
+    def timeout(signum, frame):
+        raise TimeoutError("the table writers hung")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        path = io._write_table(
+            tmp_path / "table.csv", header, list(zip([ints, shared[0], words], specs)), produce
+        )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 4
+    assert path.read_bytes() == naive_table(header, specs, columns)
 
 
 def test_unequal_columns_rejected(tmp_path):
