@@ -196,7 +196,9 @@ def _run_front(handle, arrays, specs, control, token, stored, pids) -> None:
     try:
         os.set_blocking(wake, False)
         try:
-            pids.append(_fork(_claim_front, handle, arrays, specs, control, token, wake_read))
+            pids.append(
+                _fork(_claim_front, handle, arrays, specs, control, token, (wake_read, wake))
+            )
         finally:
             os.close(wake_read)
         _produce(stored, len(arrays[0]), publish)
@@ -225,13 +227,18 @@ def _fork(work, *args) -> int:
     return pid
 
 
-def _claim_front(handle, arrays, specs, control, token, wake) -> None:
+def _claim_front(handle, arrays, specs, control, token, pipe) -> None:
     """Claim blocks in order as they are published, and write each into
-    ``handle``; wait on ``wake`` while the next block is unpublished.
+    ``handle``; wait on the wake pipe ``pipe`` while the next block is
+    unpublished.
 
-    Returns once the front meets the back, or once ``wake`` is closed and
-    the next block is still unpublished.
+    ``pipe`` is the pipe's read and write ends.  The write end is closed
+    first, so the pipe ends once the producer's process closes its end or
+    dies.  Returns once the front meets the back, or once the pipe has
+    ended and the next block is still unpublished.
     """
+    wake, producer_end = pipe
+    os.close(producer_end)
     n_rows = len(arrays[0])
     waking = True
     while True:

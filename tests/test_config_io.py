@@ -2,6 +2,7 @@ import mmap
 import os
 import signal
 import time
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -588,22 +589,49 @@ def test_streamed_trajectory_bytes(tmp_path, monkeypatch, pinned):
     assert len(forks) == (0 if pinned else min(len(mask), n_blocks) - 1)
 
 
+@contextmanager
+def hang_fails(seconds=60):
+    """Raise TimeoutError in the body once it has run ``seconds``, so that a
+    writer waiting for a wake-up that never comes fails a test rather than
+    hang it."""
+
+    def timeout(signum, frame):
+        raise TimeoutError("the table writers hung")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("pinned", [True, False], ids=["one-cpu", "every-cpu"])
-def test_failed_producer_removes_the_table(tmp_path, pinned):
+def test_failed_producer_removes_the_table(tmp_path, monkeypatch, pinned):
     """The producer's own exception propagates, after every forked writer
-    is reaped and the partial file removed."""
+    is reaped and the partial file removed.  The producer pauses before it
+    raises, so that on several CPUs the front writer has written the two
+    published blocks and waits for the next one: closing the wake pipe
+    must end that wait."""
+    mask = os.sched_getaffinity(0)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
     header, specs, columns = five_block_table()
     boom = RuntimeError("positivity lost")
 
     def producer():
         yield _BLOCK_ROWS
         yield 2 * _BLOCK_ROWS
+        time.sleep(0.05)
         raise boom
 
     path, columns = tmp_path / "table.csv", list(zip(columns, specs))
-    with pytest.raises(RuntimeError) as err:
+    with pytest.raises(RuntimeError) as err, hang_fails():
         on_cpus(pinned, lambda: io._write_table(path, header, columns, producer()))
     assert err.value is boom
+    assert len(forks) == (0 if pinned or len(mask) < 2 else 1)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not path.exists()
@@ -620,19 +648,10 @@ def test_more_writers_than_cores(tmp_path, monkeypatch):
     header, specs, columns = five_block_table()
     ints, floats, words = columns
     shared, produce = filling([floats], list(range(0, len(floats), 1000)) + [len(floats)])
-
-    def timeout(signum, frame):
-        raise TimeoutError("the table writers hung")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(60)
-    try:
+    with hang_fails():
         path = io._write_table(
             tmp_path / "table.csv", header, list(zip([ints, shared[0], words], specs)), produce
         )
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert len(forks) == 4
     assert path.read_bytes() == naive_table(header, specs, columns)
 
