@@ -130,6 +130,18 @@ def _parse_extent(text, line):
     return value
 
 
+def _parse_count(text, line, message, least):
+    """``int(text)``; a ConfigError with ``message`` on ``line`` unless it
+    is an integer of at least ``least``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(message, line) from None
+    if value < least:
+        raise ConfigError(message, line)
+    return value
+
+
 def _parse_profile(value, line, base_dir):
     value = value.strip()
     if value.startswith("@"):
@@ -203,13 +215,11 @@ def parse_config(text: str, base_dir=None) -> RunConfig:
         if key not in pars:
             raise ConfigError(f"[parameters] missing {key!r}")
         profiles[key] = _parse_profile(*pars[key], base_dir=base_dir)
-    birth = (
-        _parse_float(*pars["birth_rate"]) if "birth_rate" in pars else 1.0
-    )
+    birth_text, birth_line = pars.get("birth_rate", ("1.0", None))
     try:
-        params = ParameterSet(birth_rate=birth, **profiles)
-    except ModelError as exc:
-        raise ConfigError(str(exc)) from None
+        params = ParameterSet(birth_rate=_parse_float(birth_text, birth_line), **profiles)
+    except ModelError as exc:  # the rates are checked above: this is the birth rate
+        raise ConfigError(str(exc), birth_line) from None
 
     gsec = sections["grid"]
     for key in ("age_max", "time_max", "age_steps"):
@@ -217,23 +227,15 @@ def parse_config(text: str, base_dir=None) -> RunConfig:
             raise ConfigError(f"[grid] missing {key!r}")
     age_max = _parse_extent(*gsec["age_max"])
     time_max = _parse_extent(*gsec["time_max"])
-    n_age_text, n_age_line = gsec["age_steps"]
-    try:
-        n_age = int(n_age_text)
-    except ValueError:
-        raise ConfigError("age_steps must be an integer", n_age_line) from None
+    n_age = _parse_count(*gsec["age_steps"], "age_steps must be an integer >= 2", 2)
     steps_text, steps_line = gsec.get("time_steps", ("auto", 0))
     if steps_text == "auto":
         n_time = auto_time_steps(params, age_max, time_max, n_age)
     else:
-        try:
-            n_time = int(steps_text)
-        except ValueError:
-            raise ConfigError("time_steps must be an integer or auto", steps_line) from None
-    try:
-        grid = GridSpec(age_max, time_max, n_age, n_time)
-    except ModelError as exc:
-        raise ConfigError(str(exc)) from None
+        n_time = _parse_count(
+            steps_text, steps_line, "time_steps must be an integer >= 2 or auto", 2
+        )
+    grid = GridSpec(age_max, time_max, n_age, n_time)
 
     initial = _parse_initial(sections.get("initial", {}), base_dir)
     stride, directory = "auto", None
@@ -242,12 +244,9 @@ def parse_config(text: str, base_dir=None) -> RunConfig:
         if "stride" in osec:
             stride_text, stride_line = osec["stride"]
             if stride_text != "auto":
-                try:
-                    stride = int(stride_text)
-                except ValueError:
-                    raise ConfigError("stride must be an integer or auto", stride_line) from None
-            else:
-                stride = "auto"
+                stride = _parse_count(
+                    stride_text, stride_line, "stride must be an integer >= 1 or auto", 1
+                )
         if "directory" in osec:
             directory = osec["directory"][0]
 

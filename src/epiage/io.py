@@ -17,34 +17,35 @@ every byte is that of ``'%.17g' %``.
 
 A table's rows may be written while they are produced: the trajectory
 is written while ``transport._march`` simulates it, and its rows live in
-an anonymous shared mapping.  The calling process writes the header and
-forks one front writer, which claims blocks in order as the producer
-publishes them and writes them straight into the file.  Once the producer
-is done, the calling process claims blocks from the back into a temporary
-spool, beside ``n_cpus - 2`` more forked back writers, each with its own
-spool; ``n_cpus`` is the size of ``os.sched_getaffinity(0)``, and there
-are never more writers than blocks.  For a table whose rows are all
-present the producer is done at once.  Front and back meet through two
-claim counters and the published row count, in a small shared mapping;
-they are read and changed only while holding a one-byte pipe token, so a
-writer reads a row only after a system call that followed the row's
-store.  Once the children are reaped, the back blocks are appended in
-order.  Every writer runs the same per-block code, so the bytes do not
-depend on how the blocks were shared.  One process writes the whole table
-where ``os.fork`` or ``os.sched_getaffinity`` is missing, where one CPU
-is available, or where the table is one block.  On Python 3.12 and later
-a process running other OS threads (an OpenBLAS pool when
-``OPENBLAS_NUM_THREADS`` is unset) gets CPython's fork
+an anonymous shared mapping.  The calling process writes the header,
+opens a pipe of tickets and forks one front writer.  The producer runs in
+the calling process and writes one byte, a ticket, into the pipe for each
+block it completes; the last block is complete once every row is filled.
+For a table whose rows are all present every ticket is written at once.
+Reading a ticket is the claim: the front writer writes the next block
+from the front straight into the file for each ticket it reads.  Once the
+producer is done, the calling process closes its write end and, for each
+ticket it reads, writes the next block from the back into a temporary
+spool.  There is one ticket per block and each is read by one process, so
+front and back meet with no overlap and no gap, and nothing shared needs
+a lock.  A block's rows are read only after a ``read`` of a ticket that
+was written after they were stored.  Once the front writer is reaped, the
+back blocks are appended in order.  Both writers run the same per-block
+code, so the bytes do not depend on how the blocks were shared.  A pipe
+holds 64 KiB of tickets on Linux, so a table of more than 65,536 blocks
+(537 M rows) makes the producer wait on the front writer.  One process
+writes the whole table where ``os.fork`` or ``os.sched_getaffinity`` is
+missing, where one CPU is available, or where the table is one block.  On
+Python 3.12 and later a process running other OS threads (an OpenBLAS
+pool when ``OPENBLAS_NUM_THREADS`` is unset) gets CPython's fork
 ``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
 import csv
-import mmap
 import os
 import tempfile
-from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +60,6 @@ from .transport import StateField
 _BLOCK_ROWS = 8192
 #: the column kind of ready-formatted ``bytes`` cells
 _CELLS = "cells"
-#: the shared counters of a forked table write: blocks claimed from the
-#: front, the first block claimed from the back, and the rows published
-_FRONT, _BACK, _READY = range(3)
 
 
 def fmt(x: float) -> str:
@@ -82,9 +80,9 @@ def _write_table(path, header, columns, stored=None) -> Path:
     producer of the rows: an iterable that fills them in order as it runs
     and yields how many it has filled, ending with all of them.
 
-    Blocks are shared among processes (see the module docstring).  On any
-    exception the file is removed; the exception is the producer's own,
-    or ``OSError`` naming the file if a forked writer failed.
+    Blocks are shared between two processes (see the module docstring).
+    On any exception the file is removed; the exception is the producer's
+    own, or ``OSError`` naming the file if the front writer failed.
     """
     path = Path(path)
     arrays = [
@@ -95,17 +93,19 @@ def _write_table(path, header, columns, stored=None) -> Path:
     n_rows = len(arrays[0])
     if any(len(array) != n_rows for array in arrays):
         raise ShapeError(f"columns differ in length: {[len(a) for a in arrays]}")
-    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    n_cpus = len(os.sched_getaffinity(0)) if forkable else 1
-    n_workers = min(n_cpus, -(-n_rows // _BLOCK_ROWS))
+    alone = (
+        n_rows <= _BLOCK_ROWS
+        or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+        or len(os.sched_getaffinity(0)) < 2
+    )
     try:
         with open(path, "wb") as handle:
             handle.write((",".join(header) + "\r\n").encode("ascii"))
-            if n_workers < 2:
-                _produce(stored, n_rows, lambda rows: None)
+            if alone:
+                _produce(stored, n_rows, lambda: None)
                 _write_rows(handle, arrays, specs, 0, n_rows)
             else:
-                _share_blocks(handle, arrays, specs, n_workers, stored)
+                _share_blocks(handle, arrays, specs, stored)
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -113,101 +113,54 @@ def _write_table(path, header, columns, stored=None) -> Path:
 
 
 def _produce(stored, n_rows, publish) -> None:
-    """Run the producer ``stored`` to its end.
-
-    ``publish(rows)`` is called each time a block is completed, and once
-    more at the end with every row.
-    """
-    rows, mark = 0, _BLOCK_ROWS
+    """Run the producer ``stored`` to its end, calling ``publish()`` once
+    for each block as it is completed; the last block is complete once
+    every row is filled."""
+    n_blocks = -(-n_rows // _BLOCK_ROWS)
+    rows = published = 0
     for rows in (n_rows,) if stored is None else stored:
-        if rows >= mark:
-            publish(rows)
-            mark = rows - rows % _BLOCK_ROWS + _BLOCK_ROWS
+        completed = n_blocks if rows >= n_rows else rows // _BLOCK_ROWS
+        while published < completed:
+            publish()
+            published += 1
     if rows != n_rows:
         raise ShapeError(f"the producer filled {rows} of {n_rows} rows")
-    publish(rows)
 
 
-class _Token:
-    """A one-byte pipe token: the process that has read the byte alone may
-    touch the shared counters, and writes the byte back when done."""
-
-    def __init__(self):
-        self._read, self._write = os.pipe()
-        os.write(self._write, b".")
-
-    def __enter__(self):
-        os.read(self._read, 1)
-
-    def __exit__(self, *exc):
-        os.write(self._write, b".")
-
-    def close(self):
-        os.close(self._read)
-        os.close(self._write)
-
-
-def _share_blocks(handle, arrays, specs, n_workers, stored) -> None:
-    """Write the rows into ``handle``, after its header, with ``n_workers``
-    processes: one forked front writer, this process and ``n_workers - 2``
-    forked back writers (see the module docstring)."""
+def _share_blocks(handle, arrays, specs, stored) -> None:
+    """Write the rows into ``handle``, after its header, with one forked
+    front writer and this process at the back (see the module docstring)."""
     n_blocks = -(-len(arrays[0]) // _BLOCK_ROWS)
-    # the claim counters and the published row count, then where each block
-    # claimed from the back sits: (spool, offset, length)
-    control = np.frombuffer(mmap.mmap(-1, 8 * (3 + 3 * n_blocks)), dtype=np.int64)
-    control[_BACK] = n_blocks
     handle.flush()
-    pids = []
-    with ExitStack() as stack:
-        token = _Token()
-        stack.callback(token.close)
-        spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(n_workers - 1)]
+    read_end, write_end = os.pipe()
+    with (
+        open(read_end, "rb", 0) as tickets,
+        open(write_end, "wb", 0) as ticket,
+        tempfile.TemporaryFile() as spool,
+    ):
+        pid = _fork(_write_front, handle, arrays, specs, tickets, ticket)
+        places = []  # (offset, length) of each back block in the spool, last first
         try:
-            _run_front(handle, arrays, specs, control, token, stored, pids)
-            for owner, spool in enumerate(spools[1:], start=1):
-                pids.append(_fork(_claim_back, spool, arrays, specs, control, token, owner))
-            _claim_back(spools[0], arrays, specs, control, token, 0)
+            with ticket:
+                _produce(stored, len(arrays[0]), lambda: ticket.write(b"."))
+            block = n_blocks
+            while tickets.read(1):
+                block -= 1
+                start, offset = block * _BLOCK_ROWS, spool.tell()
+                _write_rows(spool, arrays, specs, start, start + _BLOCK_ROWS)
+                places.append((offset, spool.tell() - offset))
+        except BaseException:
+            while tickets.read(1):
+                pass  # the front writer stops at its next claim
+            raise
         finally:
-            failed = [pid for pid in pids if os.waitpid(pid, 0)[1] != 0]
-        if failed:
-            raise OSError(
-                f"writing {handle.name}: {len(failed)} of {len(pids)} forked writers failed"
-            )
+            status = os.waitpid(pid, 0)[1]
+        if status != 0:
+            raise OSError(f"writing {handle.name}: the forked front writer failed")
         handle.seek(0, os.SEEK_END)
-        places = control[3:].reshape(n_blocks, 3)
-        for owner, offset, length in places[control[_BACK] :].tolist():
-            spools[owner].seek(offset)
-            handle.write(spools[owner].read(length))
-
-
-def _run_front(handle, arrays, specs, control, token, stored, pids) -> None:
-    """Fork the front writer, add its pid to ``pids``, and run the producer
-    ``stored`` beside it, publishing each completed block."""
-    wake_read, wake = os.pipe()
-
-    def publish(rows):
-        with token:
-            control[_READY] = rows
-        try:
-            os.write(wake, b".")
-        except (BrokenPipeError, BlockingIOError):
-            pass  # the front writer is gone, or has wake-ups enough queued
-
-    try:
-        os.set_blocking(wake, False)
-        try:
-            pids.append(
-                _fork(_claim_front, handle, arrays, specs, control, token, (wake_read, wake))
-            )
-        finally:
-            os.close(wake_read)
-        _produce(stored, len(arrays[0]), publish)
-    except BaseException:
-        with token:
-            control[_BACK] = 0  # the front writer stops at its next claim
-        raise
-    finally:
-        os.close(wake)  # the front writer's last wake-up
+        for offset, length in reversed(places):
+            spool.seek(offset)
+            handle.write(spool.read(length))
 
 
 def _fork(work, *args) -> int:
@@ -227,54 +180,19 @@ def _fork(work, *args) -> int:
     return pid
 
 
-def _claim_front(handle, arrays, specs, control, token, pipe) -> None:
-    """Claim blocks in order as they are published, and write each into
-    ``handle``; wait on the wake pipe ``pipe`` while the next block is
-    unpublished.
+def _write_front(handle, arrays, specs, tickets, ticket) -> None:
+    """Write the next block from the front into ``handle`` for each ticket
+    read from ``tickets``, until the pipe ends.
 
-    ``pipe`` is the pipe's read and write ends.  The write end is closed
-    first, so the pipe ends once the producer's process closes its end or
-    dies.  Returns once the front meets the back, or once the pipe has
-    ended and the next block is still unpublished.
+    The write end ``ticket`` is closed first, so the pipe ends once the
+    calling process has closed its end, or died.
     """
-    wake, producer_end = pipe
-    os.close(producer_end)
-    n_rows = len(arrays[0])
-    waking = True
-    while True:
-        with token:
-            block, back, ready = control[:3].tolist()
-            start = block * _BLOCK_ROWS
-            stop = min(start + _BLOCK_ROWS, n_rows)
-            claimed = block < back and ready >= stop
-            if claimed:
-                control[_FRONT] = block + 1
-        if claimed:
-            _write_rows(handle, arrays, specs, start, stop)
-        elif block >= back or not waking:
-            break
-        else:
-            waking = os.read(wake, 1) != b""
+    ticket.close()
+    start = 0
+    while tickets.read(1):
+        _write_rows(handle, arrays, specs, start, start + _BLOCK_ROWS)
+        start += _BLOCK_ROWS
     handle.flush()
-
-
-def _claim_back(spool, arrays, specs, control, token, owner) -> None:
-    """Claim blocks from the back until the back meets the front; write
-    each into ``spool`` and record where it sits there."""
-    n_rows = len(arrays[0])
-    places = control[3:].reshape(-1, 3)
-    while True:
-        with token:
-            block = int(control[_BACK]) - 1
-            claimed = block >= control[_FRONT]
-            if claimed:
-                control[_BACK] = block
-        if not claimed:
-            break
-        start, offset = block * _BLOCK_ROWS, spool.tell()
-        _write_rows(spool, arrays, specs, start, min(start + _BLOCK_ROWS, n_rows))
-        places[block] = owner, offset, spool.tell() - offset
-    spool.flush()
 
 
 def _write_rows(handle, arrays, specs, start, stop) -> None:

@@ -40,8 +40,8 @@ class ParameterSet:
         object.__setattr__(self, "_exit_pressure", profile_sum(self.phi, self.gamma))
         # mu == 0 somewhere is constructible so that validate() can flag it;
         # the kernel builders reject it because survival would not decay.
-        if not self.birth_rate > 0:
-            raise ParameterError("birth rate must be positive")
+        if not 0.0 < self.birth_rate < np.inf:
+            raise ParameterError("birth rate must be positive and finite")
 
     def exit_pressure(self) -> AgeProfile:
         """Combined treatment-plus-recovery rate phi + gamma."""

@@ -157,8 +157,9 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
         stationary mixing density (the population starts at demographic
         steady state); a profile rebuilds the density every step from the
         total population ``population_on(params, n0, ages)`` at that time.
-    store: "auto" or a stride int controlling rows kept ("full" is the
-        same as 1; the final row and every monitor are always exact).
+    store: "auto" or a stride int >= 1 controlling rows kept ("full" is
+        the same as 1; the final row and every monitor are always exact);
+        anything else raises ``ParameterError``.
 
     The time loop is ``_march``, which also feeds the trajectory writer of
     ``presets`` while it runs: the stored rows live in an anonymous shared
@@ -180,6 +181,9 @@ def _march(params, initial, grid: GridSpec, n0=None, store="auto"):
     time loop runs.  Each later ``yield`` gives the number of rows stored
     so far, once that row is stored.
     """
+    integer = isinstance(store, (int, np.integer)) and not isinstance(store, bool)
+    if not (integer and store >= 1 or store in ("auto", "full")):
+        raise ParameterError(f"store must be 'auto', 'full' or an integer >= 1, not {store!r}")
     params = as_parameter_set(params)
     gate = stable_timestep(params, grid)
     if not gate.ok:
@@ -215,7 +219,7 @@ def _march(params, initial, grid: GridSpec, n0=None, store="auto"):
         store = 1 if full_size <= _AUTO_STORE_LIMIT else int(
             np.ceil(n_time / _AUTO_STORE_ROWS)
         )
-    stride = 1 if store == "full" else max(1, int(store))
+    stride = 1 if store == "full" else int(store)
     kept_j = np.append(np.arange(0, n_time, stride), n_time)
     shape = (3, kept_j.size, nodes.size)
     rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)

@@ -115,7 +115,15 @@ def test_bad_config_reports_line(config_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("age_max", "nan"), ("time_max", "inf"), ("center", "inf"), ("width", "inf")]
+    "key, value",
+    [
+        ("age_max", "nan"),
+        ("time_max", "inf"),
+        ("center", "inf"),
+        ("width", "inf"),
+        ("age_steps", "1"),
+        ("time_steps", "1"),
+    ],
 )
 def test_non_finite_extent_reports_line(tmp_path, capsys, key, value):
     lines = CONFIG.splitlines()

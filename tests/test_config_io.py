@@ -1,8 +1,11 @@
 import mmap
 import os
 import signal
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -161,6 +164,12 @@ class TestParseConfig:
             ("time_max", "nan"),
             ("time_max", "inf"),
             ("time_max", "-1"),
+            # counts below 2; under time_steps = auto a small age_steps
+            # used to escape as a bare ParameterError
+            ("age_steps", "1"),
+            ("age_steps", "0"),
+            ("time_steps", "1"),
+            ("time_steps", "-3"),
         ],
     )
     def test_grid_extent_must_be_positive_and_finite(self, key, value):
@@ -183,6 +192,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(with_value(key, value))
         assert err.value.line == line_of(key)
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_stride_at_least_one(self, value):
+        """A stride below 1 used to parse and store every row."""
+        text = BISTABLE_INI + f"\n[output]\nstride = {value}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == text.splitlines().index(f"stride = {value}") + 1
+
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "0"])
+    def test_birth_rate_positive_and_finite(self, value):
+        """Rejected on its own line; an infinite birth rate used to be
+        accepted and make the total population infinite."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_value("birth_rate", value))
+        assert err.value.line == line_of("birth_rate")
 
     def test_round_trip_lossless(self):
         config = parse_config(BISTABLE_INI)
@@ -468,8 +493,8 @@ def five_block_table():
 @pytest.mark.parametrize("pinned", [True, False], ids=["one-cpu", "every-cpu"])
 def test_shared_table_bytes(tmp_path, monkeypatch, pinned):
     """A 5-block table has the bytes of formatting every value by itself,
-    written by this process alone when it may run on one CPU, and split
-    across one forked writer per further CPU otherwise."""
+    written by this process alone when it may run on one CPU, and shared
+    with one forked front writer otherwise."""
     mask = os.sched_getaffinity(0)
     if not pinned and len(mask) < 2:
         pytest.skip("needs at least 2 CPUs")
@@ -483,7 +508,7 @@ def test_shared_table_bytes(tmp_path, monkeypatch, pinned):
         path = io._write_table(tmp_path / "table.csv", header, list(zip(columns, specs)))
     finally:
         os.sched_setaffinity(0, mask)
-    assert len(forks) == (0 if pinned else min(len(mask), 5) - 1)
+    assert len(forks) == (0 if pinned else 1)
     assert path.read_bytes() == naive_table(header, specs, columns)
 
 
@@ -565,7 +590,7 @@ def test_streamed_table_bytes(tmp_path_factory, data, columns, block_rows, pinne
 def test_streamed_trajectory_bytes(tmp_path, monkeypatch, pinned):
     """A trajectory of several blocks written while it is simulated has
     the bytes of the finished field's; on several CPUs one front writer
-    and one back writer per CPU past two are forked."""
+    is forked."""
     mask = os.sched_getaffinity(0)
     if not pinned and len(mask) < 2:
         pytest.skip("needs at least 2 CPUs")
@@ -586,13 +611,13 @@ def test_streamed_trajectory_bytes(tmp_path, monkeypatch, pinned):
         pinned, lambda: write_trajectory(tmp_path / "streamed.csv", field, stored=steps)
     )
     assert path.read_bytes() == expected
-    assert len(forks) == (0 if pinned else min(len(mask), n_blocks) - 1)
+    assert len(forks) == (0 if pinned else 1)
 
 
 @contextmanager
 def hang_fails(seconds=60):
     """Raise TimeoutError in the body once it has run ``seconds``, so that a
-    writer waiting for a wake-up that never comes fails a test rather than
+    writer waiting for a ticket that never comes fails a test rather than
     hang it."""
 
     def timeout(signum, frame):
@@ -612,7 +637,7 @@ def test_failed_producer_removes_the_table(tmp_path, monkeypatch, pinned):
     """The producer's own exception propagates, after every forked writer
     is reaped and the partial file removed.  The producer pauses before it
     raises, so that on several CPUs the front writer has written the two
-    published blocks and waits for the next one: closing the wake pipe
+    published blocks and waits for the next one: closing the ticket pipe
     must end that wait."""
     mask = os.sched_getaffinity(0)
     forks = []
@@ -637,23 +662,94 @@ def test_failed_producer_removes_the_table(tmp_path, monkeypatch, pinned):
     assert not path.exists()
 
 
-def test_more_writers_than_cores(tmp_path, monkeypatch):
-    """Told of 8 CPUs, a streamed 5-block table forks one front writer and
-    three back writers, however many cores there are, and keeps its bytes;
-    a minute's alarm fails the test rather than let a lost wake-up hang it."""
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+def test_killed_front_writer_raises(tmp_path, monkeypatch):
+    """A front writer killed by SIGKILL after its first ticket makes the
+    table writer raise OSError naming the file; the file is removed and
+    the writer reaped."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs at least 2 CPUs")
+    parent = os.getpid()
+    write_rows = io._write_rows
+
+    def child_dies(*args):
+        write_rows(*args)
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(io, "_write_rows", child_dies)
     header, specs, columns = five_block_table()
-    ints, floats, words = columns
-    shared, produce = filling([floats], list(range(0, len(floats), 1000)) + [len(floats)])
-    with hang_fails():
-        path = io._write_table(
-            tmp_path / "table.csv", header, list(zip([ints, shared[0], words], specs)), produce
-        )
-    assert len(forks) == 4
-    assert path.read_bytes() == naive_table(header, specs, columns)
+    n_rows = len(columns[0])
+    # the producer publishes one block at a time, so the front writer
+    # reads the first ticket before the back starts claiming
+    steps = range(_BLOCK_ROWS, n_rows + _BLOCK_ROWS, _BLOCK_ROWS)
+    producer = (min(rows, n_rows) for rows in steps)
+    path = tmp_path / "table.csv"
+    with pytest.raises(OSError, match="table.csv"), hang_fails():
+        io._write_table(path, header, list(zip(columns, specs)), producer)
+    assert not path.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+#: writes a 5-block table from a producer that publishes one block and
+#: then sleeps; prints each forked pid
+SLOW_TABLE = """
+import os, sys, time
+from epiage import io
+fork = os.fork
+
+def announce():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+def slow(n_rows):
+    yield io._BLOCK_ROWS
+    time.sleep(120)
+    yield n_rows
+
+os.fork = announce
+n_rows = 5 * io._BLOCK_ROWS
+io._write_table(sys.argv[1], ["x"], [([0.5] * n_rows, "%.17g")], slow(n_rows))
+"""
+
+
+def exited(pid) -> bool:
+    """Whether process ``pid`` has exited: it is gone, or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_front_writer_exits_with_its_parent(tmp_path):
+    """A process killed by SIGKILL mid-table leaves no front writer running:
+    the ticket pipe ends with the parent."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs at least 2 CPUs")
+    env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
+    writer = subprocess.Popen(
+        [sys.executable, "-c", SLOW_TABLE, str(tmp_path / "table.csv")],
+        stdout=subprocess.PIPE,
+        env=env,
+    )
+    front = None
+    try:
+        front = int(writer.stdout.readline())
+        writer.kill()
+        writer.wait()
+        deadline = time.monotonic() + 5.0
+        while not exited(front) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert exited(front)
+    finally:
+        writer.kill()
+        writer.wait()
+        writer.stdout.close()
+        if front is not None and not exited(front):
+            os.kill(front, signal.SIGKILL)
 
 
 def test_unequal_columns_rejected(tmp_path):

@@ -79,6 +79,12 @@ class TestMixingDensity:
         with pytest.raises(ParameterError):
             stationary_mixing(params, GridSpec(100.0, 1.0, 200, 10))
 
+    @pytest.mark.parametrize("birth_rate", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_birth_rate_not_positive_and_finite(self, birth_rate):
+        # an infinite birth rate made total_population infinite at young ages
+        with pytest.raises(ParameterError):
+            make_params(birth_rate=birth_rate)
+
     def test_rejects_vanishing_contact(self):
         params = make_params(contact=0.0)
         with pytest.raises(ParameterError):

@@ -17,6 +17,7 @@ from epiage import (
     stationary_mixing,
     survival,
 )
+from epiage.transport import _march
 
 
 def stable_grid(params, age_max, time_max, da, safety=0.9):
@@ -270,6 +271,17 @@ class TestSimulate:
         )
         assert traj.field.times[-1] == pytest.approx(grid.time_max)
         assert traj.b_series.size == grid.n_time + 1
+
+    @pytest.mark.parametrize("store", [0, -3, 2.7, True, "every"])
+    def test_store_must_be_a_stride(self, rates_extinction, store):
+        """Anything but "auto", "full" or an int >= 1 is rejected before the
+        first yield; 0 and -3 used to store every row, 2.7 a stride of 2."""
+        grid = stable_grid(rates_extinction, 50.0, 1.0, 0.5)
+        nodes = grid.age_nodes()
+        i0 = cosine_bump(nodes, 0.2, 20.0, 5.0)
+        steps = _march(rates_extinction, (1.0 - i0, i0, np.zeros_like(nodes)), grid, store=store)
+        with pytest.raises(ParameterError):
+            next(steps)
 
     def test_odd_panel_count_uses_trapezoid_weights(self, rates_extinction):
         # 201 age panels: the pressure quadrature falls back to trapezoid
