@@ -179,5 +179,5 @@ def analysis_kernel(
 
 
 def refine_kernel(params, kernel: DemographicKernel) -> DemographicKernel:
-    """Same kernel with every quadrature panel halved (for Richardson checks)."""
+    """Same kernel with every quadrature panel halved."""
     return _kernel_on(as_parameter_set(params), kernel.grid.refined())

@@ -4,19 +4,22 @@
 ``QuadratureGrid`` is a 1-d age grid carrying composite-Simpson weights; it
 can be uniform or graded (dyadic blocks refining towards age 0, which is
 where the steady-state boundary layers live).
+
+``adapt`` refines every solved number: it splits only the blocks whose
+share of the value still changes, so a layer is graded wherever it lies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, ToleranceError
 
-#: halvings of every panel a refinement chain may take before it gives up
-_MAX_REFINEMENTS = 6
+#: nodes ``adapt`` may evaluate, summed over its passes, before it gives up
+_MAX_NODES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,20 @@ def _nodes(length: float, n: int) -> np.ndarray:
         return np.linspace(0.0, length, n + 1)
 
 
-def _simpson_weights(n_panels: int, h: float) -> np.ndarray:
-    """Weights of the composite Simpson rule on n_panels uniform panels.
+def _simpson_weights(n_panels: int, h) -> np.ndarray:
+    """Composite Simpson weights of n_panels panels of width h (an array
+    of widths gives one row each).
 
     Falls back to the composite trapezoid rule when n_panels is odd.
     """
-    w = np.full(n_panels + 1, h)
+    w = np.multiply.outer(h, np.ones(n_panels + 1))
     if n_panels % 2 == 0:
         w *= 1.0 / 3.0
-        w[1:-1:2] *= 4.0
-        w[2:-1:2] *= 2.0
+        w[..., 1:-1:2] *= 4.0
+        w[..., 2:-1:2] *= 2.0
     else:
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        w[..., 0] *= 0.5
+        w[..., -1] *= 0.5
     return w
 
 
@@ -96,14 +100,15 @@ def cell_stages(nodes: np.ndarray) -> np.ndarray:
 class QuadratureGrid:
     """Age nodes plus matching quadrature weights.
 
-    ``blocks`` lists (start_index, n_panels) per uniform block; consecutive
-    blocks share their boundary node.  ``integrate`` is a single dot
-    product, exact for cubics on even-panel blocks.
+    The nodes form blocks of ``panels`` uniform panels each, between
+    consecutive ``edges``; consecutive blocks share their boundary node.
+    ``integrate`` is a single dot product, exact for cubics on even-panel
+    blocks.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    blocks: tuple = field(default=())
+    panels: int
 
     @classmethod
     def uniform(cls, length: float, n_panels: int) -> "QuadratureGrid":
@@ -111,7 +116,7 @@ class QuadratureGrid:
             raise ParameterError("quadrature grid needs finite length > 0, panels >= 2")
         nodes = np.linspace(0.0, length, n_panels + 1)
         w = _simpson_weights(n_panels, length / n_panels)
-        return cls(nodes, w, ((0, n_panels),))
+        return cls(nodes, w, n_panels)
 
     @classmethod
     def graded(
@@ -145,22 +150,19 @@ class QuadratureGrid:
     @classmethod
     def _blocks(cls, edges, n_panels: int) -> "QuadratureGrid":
         """``n_panels`` uniform Simpson panels between consecutive edges."""
-        nodes = [np.array([edges[0]])]
-        weights = np.zeros(1)
-        blocks = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            h = (hi - lo) / n_panels
-            blocks.append((len(weights) - 1, n_panels))
-            block = lo + h * np.arange(1, n_panels + 1)
-            # the edge itself, also where h underflows in a block narrower
-            # than its panels (a knot at 5e-324): the next block's first
-            # node must sample the rates on its own side of the edge
-            block[-1] = hi
-            nodes.append(block)
-            w = _simpson_weights(n_panels, h)
-            weights[-1] += w[0]
-            weights = np.concatenate([weights, w[1:]])
-        return cls(np.concatenate(nodes), weights, tuple(blocks))
+        edges = np.asarray(edges, dtype=float)
+        lo, hi = edges[:-1, None], edges[1:]
+        h = (hi[:, None] - lo) / n_panels
+        nodes = lo + h * np.arange(1, n_panels + 1)
+        # the edge itself, also where h underflows in a block narrower
+        # than its panels (a knot at 5e-324): the next block's first
+        # node must sample the rates on its own side of the edge
+        nodes[:, -1] = hi
+        w = _simpson_weights(n_panels, h[:, 0])
+        weights = np.zeros(nodes.size + 1)
+        weights[1:] = w[:, 1:].ravel()
+        weights[:-1:n_panels] += w[:, 0]
+        return cls(np.concatenate([edges[:1], nodes.ravel()]), weights, n_panels)
 
     def integrate(self, values: np.ndarray) -> float:
         values = np.asarray(values)
@@ -170,7 +172,56 @@ class QuadratureGrid:
             )
         return values @ self.weights
 
+    @property
+    def edges(self) -> np.ndarray:
+        """The ages where blocks start, and the last age."""
+        return self.nodes[:: self.panels]
+
+    def shares(self, values: np.ndarray) -> np.ndarray:
+        """Integral of ``values`` over each block."""
+        n = self.panels
+        rows = np.lib.stride_tricks.sliding_window_view(values, n + 1)[::n]
+        return np.einsum("bi,i->b", rows, _simpson_weights(n, 1.0 / n)) * np.diff(self.edges)
+
     def refined(self) -> "QuadratureGrid":
-        """Same block edges with every panel split in two."""
-        starts = [start for start, _ in self.blocks]
-        return self._blocks(self.nodes[starts + [-1]], 2 * self.blocks[0][1])
+        """Every panel split in two: the grid with every block split in two."""
+        return self._blocks(self.edges, 2 * self.panels)
+
+    def split(self, which: np.ndarray) -> "QuadratureGrid":
+        """Same panels per block, with the blocks flagged in ``which`` cut in two."""
+        edges = self.edges
+        return self._blocks(np.union1d(edges, 0.5 * (edges[:-1] + edges[1:])[which]), self.panels)
+
+
+def adapt(evaluate, grid: QuadratureGrid, rtol: float, least: float = 1e-300):
+    """(value, grid): ``evaluate`` refined by error from ``grid``.
+
+    ``evaluate(grid)`` returns a value on the grid and its shares, one
+    per block.  Each pass evaluates ``grid`` and ``grid.refined()``; once
+    their shares differ by at most rtol max(|value|, least) in all, the
+    finer value is returned with ``grid``.  Summed |differences| cannot
+    cancel as a pre-asymptotic change of the value can.  Else the blocks
+    that differ by more than that bound / blocks are split (at least the
+    one that differs most), or all of them after a pass whose differences
+    did not halve.  ``ToleranceError``, with the last finer value as
+    ``best``, once ``_MAX_NODES`` nodes would have been evaluated.
+    """
+    best, shares = evaluate(grid)
+    spent, last = grid.nodes.size, np.inf
+    while True:
+        finer = grid.refined()
+        spent += finer.nodes.size
+        if spent > _MAX_NODES:
+            raise ToleranceError(f"quadrature refinement stalled above rtol={rtol:g}", best=best)
+        best, finer_shares = evaluate(finer)
+        change = np.abs(finer_shares - shares)
+        bound = rtol * max(np.max(np.abs(best)), least)
+        if change.sum() <= bound:
+            return best, grid
+        # changes that did not halve come from other blocks than those split,
+        # as errors a sweep carries downstream; a NaN change splits its block
+        cut = min(bound / change.size, change.max()) if change.sum() <= 0.5 * last else 0.0
+        last = change.sum()
+        grid = grid.split(~(change <= cut))
+        spent += grid.nodes.size
+        shares = evaluate(grid)[1]

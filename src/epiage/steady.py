@@ -15,7 +15,8 @@ the kernel's grid at B = 0.  ``induced_pressure`` is B times it, and
 endemic states are its unit crossings in (0, 1].  r loses relative
 digits only at young ages, where r is far below i.  ``infected_profile``
 and ``recovered_profile`` sweep u on the same graded grid, cut at the
-oldest requested age, and halve its panels until i and r converge.
+oldest requested age, and refine it by ``grids.adapt``: the blocks across
+which i and r still change are split until those changes converge.
 
 ``find_fixed_points`` scans the excess amplification - 1 on a coarse
 geometric set of probes from 1e-9 up to the a-priori bound B_cut above
@@ -53,8 +54,8 @@ import numpy as np
 from . import _sweep
 from ._roots import crossings
 from .demography import DemographicKernel, _analysis_grid
-from .errors import DomainError, NumericsError, ParameterError, ToleranceError
-from .grids import _MAX_REFINEMENTS, cell_stages
+from .errors import DomainError, NumericsError, ParameterError
+from .grids import adapt, cell_stages
 from .parameters import as_parameter_set
 
 #: the fixed-point scan starts here; roots below it are not found
@@ -82,8 +83,8 @@ def _refined_profiles(B: float, params, ages, which: int) -> np.ndarray:
     """i (``which`` 0) or r (1) at ``ages``, swept on the analysis grid up
     to max(ages) with ``ages`` added as nodes, in whatever order they come.
 
-    Every panel is halved until i and r at ``ages`` change by at most
-    1e-10; ``ToleranceError`` past ``_MAX_REFINEMENTS`` halvings.
+    ``grids.adapt`` refines the grid by the profile's change across each
+    block, to 1e-10 absolute: i and r are fractions of the population.
     """
     _check_pressure(B)
     params = as_parameter_set(params)
@@ -95,21 +96,15 @@ def _refined_profiles(B: float, params, ages, which: int) -> np.ndarray:
     if ages.max() == 0.0:
         return np.zeros_like(ages)
 
-    def at(grid):
+    def evaluate(grid):
         nodes = np.union1d(grid.nodes, ages)
         data = _SteadyData(params, nodes)
         _, i, r = data.profiles(B, data.sweep(B))
-        return np.stack([i, r])[:, np.searchsorted(nodes, ages)]
+        profile = (i, r)[which]
+        at_edges = profile[np.searchsorted(nodes, grid.edges)]
+        return profile[np.searchsorted(nodes, ages)], np.diff(at_edges)
 
-    grid = _analysis_grid(params, ages.max())
-    value = at(grid)
-    for _ in range(_MAX_REFINEMENTS):
-        grid = grid.refined()
-        finer = at(grid)
-        if np.abs(finer - value).max() <= 1e-10:
-            return finer[which]
-        value = finer
-    raise ToleranceError("profile refinement stalled above 1e-10", best=value[which])
+    return adapt(evaluate, _analysis_grid(params, ages.max()), 1e-10, least=1.0)[0]
 
 
 def infected_profile(B: float, params, ages) -> np.ndarray:

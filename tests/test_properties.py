@@ -504,10 +504,9 @@ def test_profile_helpers_match_the_closed_forms(rates, B, ages):
 def test_growth_rate_sign_is_sign_of_r0_minus_1(rates):
     """Within 10 tol of R0 = 1 the solver's tolerance cannot decide the sign.
 
-    Below about beta = 1e-72 the truncated domain's growth root sits so far
-    below the abscissa that its integrand is a steep exponential at the
-    oldest age, which the quadrature cannot resolve to tolerance, so
-    ``classify`` raises; that is the one failure allowed here.
+    For a tiny beta the truncated domain's growth root sits below the
+    abscissa, where the model's G diverges, so ``classify`` raises; that
+    is the one failure allowed here.
     """
     assume(rates["phi"] + rates["gamma"] + rates["rho"] > 0.0)
     params = ConstantRates(**rates)
@@ -532,7 +531,7 @@ def test_growth_rate_solves_the_converged_growth_equation(params):
     """The root is refined only where it is checked, so check it against
     G converged to 1e-10: |G(lam) - 1| <= tol.
 
-    Where six refinements do not bring G to 1e-10 relative, the last
+    Where the node budget does not bring G to 1e-10 relative, the last
     refined value stands in; the one ``classify`` failure allowed is the
     growth root below the abscissa.
     """
@@ -581,8 +580,8 @@ def test_growth_rate_re_solved_on_every_level():
     exit pressure falls to 0 at age 30 and jumps at 31, and the root moves
     out of tol - rtol on five refinements in a row; each move used to
     start the count of halving changes again, until the levels ran out.
-    Six refinements do not bring G there to 1e-10 relative; as in the
-    property, the last refined value stands in."""
+    Where G there does not reach 1e-10 relative, as in the property, the
+    last refined value stands in."""
     params = ParameterSet(
         mu=AgeProfile.constant(0.46875),
         beta=AgeProfile.constant(1.0),

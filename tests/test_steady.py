@@ -15,7 +15,7 @@ from epiage import (
     recovered_profile,
     susceptible_profile,
 )
-from epiage import _sweep, steady
+from epiage import _sweep, grids, steady
 from epiage.errors import DomainError, ParameterError, ToleranceError
 
 
@@ -111,7 +111,7 @@ class TestProfiles:
 
     def test_refinement_cap_carries_best_estimate(self, rates_bistable, monkeypatch):
         ages = np.linspace(0.0, 50.0, 11)
-        monkeypatch.setattr(steady, "_MAX_REFINEMENTS", 0)
+        monkeypatch.setattr(grids, "_MAX_NODES", 0)
         with pytest.raises(ToleranceError) as err:
             infected_profile(0.1, rates_bistable, ages)
         _, i_c, _ = closed_form_profiles(0.1, rates_bistable, ages)
