@@ -102,7 +102,7 @@ class QuadratureGrid:
 
     The nodes form blocks of ``panels`` uniform panels each, between
     consecutive ``edges``; consecutive blocks share their boundary node.
-    ``integrate`` is a single dot product, exact for cubics on even-panel
+    ``integrate`` is a single weighted sum, exact for cubics on even-panel
     blocks.
     """
 
@@ -170,7 +170,9 @@ class QuadratureGrid:
             raise ShapeError(
                 f"expected {self.nodes.size} samples, got {values.shape[-1]}"
             )
-        return values @ self.weights
+        # einsum sums in a fixed order; a BLAS dot product sums in an order
+        # set by its thread count, which moved the last digits of results
+        return np.einsum("...i,i->...", values, self.weights)
 
     @property
     def edges(self) -> np.ndarray:
