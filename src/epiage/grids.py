@@ -186,8 +186,24 @@ class QuadratureGrid:
         return np.einsum("bi,i->b", rows, _simpson_weights(n, 1.0 / n)) * np.diff(self.edges)
 
     def refined(self) -> "QuadratureGrid":
-        """Every panel split in two: the grid with every block split in two."""
-        return self._blocks(self.edges, 2 * self.panels)
+        """Every panel split in two: the grid with every block split in two.
+
+        Built once and kept on this grid, so each grid holds the next finer
+        one: a chain, which frees as soon as its coarsest grid is freed.
+        """
+        finer = self.__dict__.get("_finer")
+        if finer is None:
+            # the frozen dataclass refuses setattr; the cache is no field
+            finer = self.__dict__["_finer"] = self._blocks(self.edges, 2 * self.panels)
+        return finer
+
+    def coarsened(self) -> "QuadratureGrid":
+        """The same edges with half the panels in every block, so that its
+        ``refined()`` rebuilds this grid; this grid itself where half the
+        panels would not be an even count (Simpson's rule needs one)."""
+        if self.panels % 4:
+            return self
+        return self._blocks(self.edges, self.panels // 2)
 
     def split(self, which: np.ndarray) -> "QuadratureGrid":
         """Same panels per block, with the blocks flagged in ``which`` cut in two."""

@@ -13,10 +13,13 @@ R0 = G(0) is the reproduction number with treatment/recovery damping; RC
 drops the damping factor and bounds R0 from above.  RC < 1 forces global
 extinction.
 
-Every value is refined by ``grids.adapt`` from the kernel's grid, R0, RC
-and ``euler_lotka`` at their own point.  The growth rate is solved on the
-kernel's grid, adapted at its root, and solved again only while G on the
-adapted grid is outside the tolerance; see ``dominant_growth_rate``.
+Every value is refined by ``grids.adapt`` from one level below the
+kernel's grid, on half its panels in every block (``coarsened``), whose
+refinement is the kernel's own grid: R0, RC and ``euler_lotka`` at their
+own point.  Where the rates are smooth, the first pass settles, and the
+value is the quadrature on the kernel's grid.  The growth rate is solved
+on the coarse grid, adapted at its root, and solved again only while G on
+the adapted grid is outside the tolerance; see ``dominant_growth_rate``.
 """
 
 from __future__ import annotations
@@ -59,11 +62,24 @@ class _LotkaData:
         self._integrands = {}
         self._levels = {}
 
+    @classmethod
+    def below(cls, params, kernel: DemographicKernel) -> "_LotkaData":
+        """The samples of ``kernel.grid.coarsened()``, where every value
+        starts to refine, with those of ``kernel`` as the level that the
+        coarse grid's refinement reaches."""
+        params = as_parameter_set(params)
+        coarse = kernel.grid.coarsened()
+        if coarse is kernel.grid:
+            return cls(params, kernel)
+        data = cls(params, _kernel_on(params, coarse))
+        data._levels[_key(kernel.grid)] = cls(params, kernel)
+        return data
+
     def on(self, grid) -> "_LotkaData":
         """The samples of ``grid``, built once and freed with this one."""
         if grid is self.kernel.grid:
             return self
-        key = (grid.panels, grid.edges.tobytes())
+        key = _key(grid)
         if key not in self._levels:
             self._levels[key] = _LotkaData(self.params, _kernel_on(self.params, grid))
         return self._levels[key]
@@ -88,6 +104,10 @@ class _LotkaData:
         """1 - 1/G: linear in lam for constant rates, 1 where G overflows."""
         g = self.g_value(lam)
         return 1.0 - 1.0 / g if g > 0.0 else -math.inf
+
+
+def _key(grid) -> tuple:
+    return grid.panels, grid.edges.tobytes()
 
 
 def _check_tolerance(value: float, name: str) -> None:
@@ -117,20 +137,20 @@ def _adapted(data: _LotkaData, grid, rtol: float, integrand):
 def euler_lotka(lam: float, params, kernel: DemographicKernel, rtol: float = 1e-8):
     """G(lam); returns +inf when the growing integrand overflows."""
     _check_tolerance(rtol, "rtol")  # before the sweep of the overflow check
-    data = _LotkaData(as_parameter_set(params), kernel)
+    data = _LotkaData.below(params, kernel)
     if math.isinf(data.g_value(lam)):
         return math.inf
-    return _adapted(data, kernel.grid, rtol, lambda level: level.integrand(lam))[0]
+    return _adapted(data, data.kernel.grid, rtol, lambda level: level.integrand(lam))[0]
 
 
 def r0(params, kernel: DemographicKernel, rtol: float = 1e-8) -> float:
     """Reproduction number with treatment/recovery damping: G(0)."""
-    return _r0(_LotkaData(as_parameter_set(params), kernel), rtol)
+    return _r0(_LotkaData.below(params, kernel), rtol)
 
 
 def rc(params, kernel: DemographicKernel, rtol: float = 1e-8) -> float:
     """Reproduction number without damping; RC < 1 gives global extinction."""
-    return _rc(_LotkaData(as_parameter_set(params), kernel), rtol)
+    return _rc(_LotkaData.below(params, kernel), rtol)
 
 
 def dominant_growth_rate(
@@ -140,20 +160,22 @@ def dominant_growth_rate(
 
     The equation solved is 1 - 1/G(lam) = 0, which is linear in lam for
     constant rates and nearly so otherwise, and which is 1 where G
-    overflows.  It is first solved on the kernel's own grid: G(0) = R0
-    ends the bracket on one side, the other end, -2 max(mu+phi+gamma) or
-    max beta, is doubled until it straddles the root, and one
-    false-position step, then Chandrupatla's method, stop at |1 - 1/G| <=
-    tol / (1 + tol), which gives |G - 1| <= tol.
+    overflows.  It is first solved one level below the kernel's grid, on
+    half its panels in every block: G(0) = R0 there ends the bracket on
+    one side, the other end, -2 max(mu+phi+gamma) or max beta, is doubled
+    until it straddles the root, and one false-position step, then
+    Chandrupatla's method, stop at |1 - 1/G| <= tol / (1 + tol), which
+    gives |G - 1| <= tol.
 
-    G at the root is then adapted to rtol = max(min(tol/10, 1e-9), 1e-12),
-    and the root stands once G there is within tol - rtol of 1; else it is
-    solved again on the adapted grid, from a step along the secant through
-    G(0) and the root.  ``ToleranceError`` (``best`` the last root) past
+    G at the root is then adapted from that grid to rtol = max(min(tol/10,
+    1e-9), 1e-12), which for smooth rates stops with the kernel's grid as
+    the finer one.  The root stands once G on the finer grid is within
+    tol - rtol of 1; else it is solved again there, from a step along the
+    secant through G(0) and the root.  ``ToleranceError`` (``best`` the last root) past
     the node budget, or for a root below -(mu + phi + gamma) at the last
     knot, where only the truncation of the age domain puts it.
     """
-    return _growth_rate(_LotkaData(as_parameter_set(params), kernel), tol)
+    return _growth_rate(_LotkaData.below(params, kernel), tol)
 
 
 def _r0(data: _LotkaData, rtol: float = 1e-8) -> float:
@@ -234,10 +256,10 @@ def classify(params, kernel: DemographicKernel, tol: float = 1e-8) -> ThresholdR
     """Assemble R0, RC, the dominant growth rate, and the region label.
 
     The three share the samples of every grid they visit, and R0's G(0)
-    on the kernel's grid ends the growth-rate bracket.
+    on the coarse grid below the kernel's ends the growth-rate bracket.
     """
     _check_tolerance(tol, "tol")
-    data = _LotkaData(as_parameter_set(params), kernel)
+    data = _LotkaData.below(params, kernel)
     r0_value = _r0(data)
     rc_value = _rc(data)
     growth = _growth_rate(data, tol)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from epiage import ConstantRates, analysis_kernel
+from epiage.presets import PRESETS, preset_config
 
 # drinking-dynamics rate magnitudes; beta selects the regime
 RATES = dict(mu=0.0125, phi=60.0, gamma=13.0, rho=76.65)
@@ -40,3 +41,10 @@ def kernel_extinction(rates_extinction):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session", params=PRESETS)
+def preset_kernel(request):
+    """(rates, analysis kernel) of each preset."""
+    params = preset_config(request.param).params
+    return params, analysis_kernel(params)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from epiage import GridSpec, ParameterError, QuadratureGrid
+from epiage import GridSpec, ParameterError, ParameterSet, QuadratureGrid, analysis_kernel
 from epiage.grids import cell_stages
 
 
@@ -91,6 +91,46 @@ def test_block_edges_are_nodes_where_the_panel_width_underflows():
     assert grid.refined().nodes[32] == 5e-324
     step = np.where(grid.nodes > 0.0, 2.0, 0.5)
     assert grid.integrate(step) == pytest.approx(120.0, rel=1e-14)
+
+
+def test_refined_grid_is_built_once():
+    grid = QuadratureGrid.graded(100.0, 0.1, 16)
+    assert grid.refined() is grid.refined()
+
+
+def same_bits(grid, other):
+    return grid.panels == other.panels and all(
+        getattr(grid, name).tobytes() == getattr(other, name).tobytes()
+        for name in ("nodes", "weights", "edges")
+    )
+
+
+def test_coarsened_preset_grids_refine_back_bit_for_bit(preset_kernel):
+    grid = preset_kernel[1].grid
+    coarse = grid.coarsened()
+    assert coarse.panels == grid.panels // 2
+    assert same_bits(coarse.refined(), grid)
+
+
+def test_coarsened_grid_refines_back_past_a_zero_width_block():
+    # a knot at 5e-324 gives a block whose panels underflow to 0 wide
+    params = ParameterSet(
+        mu=[(0, 0.0125)], beta=[(0, 60)], phi=[(0, 60), (5e-324, 30)],
+        gamma=[(0, 13)], rho=[(0, 76.65)],
+    )
+    grid = analysis_kernel(params).grid
+    assert grid.edges[1] == 5e-324
+    assert same_bits(grid.coarsened().refined(), grid)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [QuadratureGrid.uniform(1.0, 3), QuadratureGrid.graded(10.0, 0.1, 2),
+     QuadratureGrid.graded(10.0, 0.1, 6)],
+    ids=["odd", "two-per-block", "six-per-block"],
+)
+def test_grids_without_an_even_half_are_their_own_coarsening(grid):
+    assert grid.coarsened() is grid
 
 
 def test_cell_stages_shape_and_endpoints():

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,16 @@ class TestFindFixedPoints:
         assert states[0].b_star == pytest.approx(
             fixed_points_exact(rates_endemic)[0], abs=1e-8
         )
+
+    def test_leaves_no_cyclic_garbage(self, preset_kernel):
+        params, kernel = preset_kernel
+        gc.collect()
+        gc.disable()
+        try:
+            find_fixed_points(params, kernel)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_root_below_one_micro(self):
         # R0 = 0.99983: the lower root sits at 5.9e-7, below the old first

@@ -1,3 +1,6 @@
+import collections
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from epiage import (
     NumericsError,
     ParameterError,
     ParameterSet,
+    QuadratureGrid,
     ToleranceError,
     analysis_kernel,
     classify,
@@ -16,6 +20,8 @@ from epiage import (
     r0,
     rc,
 )
+from epiage.grids import cell_stages
+from epiage.parameters import as_parameter_set
 from epiage.presets import AGE_DEPENDENT_RATES
 
 
@@ -261,23 +267,26 @@ class TestBadTolerance:
 class TestClassify:
     @pytest.mark.parametrize("regime", ["bistable", "endemic"])
     def test_constant_rate_sweeps(self, regime, request, monkeypatch):
-        # R0 at levels 0 and 1 (3 units), the far bracket end and the
-        # false-position step (2, and one more step for the bistable set),
-        # the root at level 1 (2): 7-8 in all
+        # every value starts one level below the kernel's grid, on half
+        # its nodes: R0 there and on the kernel's grid (1.5 units), the far
+        # bracket end and the false-position step (1, and 0.5 for one more
+        # step on the bistable set), the root on the kernel's grid (1):
+        # 3.5-4 in all
         rates = request.getfixturevalue(f"rates_{regime}")
         kernel = request.getfixturevalue(f"kernel_{regime}")
         sweeps = level0_sweeps(monkeypatch, kernel)
         classify(rates, kernel)
-        assert sweeps() <= 9
+        assert sweeps() <= 5
 
     def test_age_dependent_sweeps(self, monkeypatch):
-        # the agedep preset at the tolerance run_config passes on: 50.7
-        # units measured, with 25% to spare; most are G adapted at the root
+        # the agedep preset at the tolerance run_config passes on, from one
+        # level below the kernel's grid: 41.5 units measured, with 25% to
+        # spare; most are G adapted at the root
         params = ParameterSet(**AGE_DEPENDENT_RATES)
         kernel = analysis_kernel(params)
         sweeps = level0_sweeps(monkeypatch, kernel)
         report = classify(params, kernel, tol=1e-9)
-        assert sweeps() <= 63
+        assert sweeps() <= 52
         assert abs(euler_lotka(report.growth_rate, params, kernel, rtol=1e-11) - 1.0) <= 1e-9
 
     def test_age_dependent_against_the_reference(self):
@@ -290,6 +299,46 @@ class TestClassify:
         assert report.rc == pytest.approx(1683.5097403941454, rel=1e-8)
         # |G - 1| <= 1e-9 moves the root by 1e-9 / |dG/dlam| at most
         assert abs(report.growth_rate - -8.353533056032532) <= 1e-9 / 0.02012188892730471
+
+    @pytest.mark.parametrize("regime", ["bistable", "endemic"])
+    def test_first_pass_keeps_the_kernel_grid_bits(self, regime, request):
+        # smooth rates converge on the first pass, which compares the grid
+        # one level below the kernel's with the kernel's own and returns
+        # the kernel-grid quadrature of density * W at lam = 0
+        params = as_parameter_set(request.getfixturevalue(f"rates_{regime}"))
+        kernel = request.getfixturevalue(f"kernel_{regime}")
+        ages = kernel.ages
+        exit_pressure = params.exit_pressure()
+        w = _sweep.exp_sweep(
+            ages, exit_pressure.cumulative(ages), params.beta(cell_stages(ages)), exit_pressure(ages)
+        )
+        assert r0(params, kernel) == float(kernel.integrate(kernel.density * w))
+
+    def test_builds_every_grid_once(self, preset_kernel, monkeypatch):
+        # each grid's refinement is kept on it, and the kernel's grid is
+        # the level its coarsening refines to
+        params, kernel = preset_kernel
+        build = QuadratureGrid._blocks.__func__
+        built = collections.Counter()
+
+        def counted(cls, edges, n_panels):
+            grid = build(cls, edges, n_panels)
+            built[n_panels, grid.edges.tobytes()] += 1
+            return grid
+
+        monkeypatch.setattr(QuadratureGrid, "_blocks", classmethod(counted))
+        classify(params, kernel, tol=1e-9)
+        assert built and max(built.values()) == 1
+
+    def test_leaves_no_cyclic_garbage(self, preset_kernel):
+        params, kernel = preset_kernel
+        gc.collect()
+        gc.disable()
+        try:
+            classify(params, kernel, tol=1e-9)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_three_regions(self, rates_extinction, rates_bistable, rates_endemic,
                            kernel_extinction, kernel_bistable, kernel_endemic):
