@@ -14,14 +14,17 @@ and on exact and near ties of the 18th digit.
 The steady solver's a-priori bound holds: from B_cut on, the pressure
 induced under B is at most m B / (m B + e) and the amplification is
 below 1.  So does its floor: where the linear-response bound allows, the
-excess keeps the sign of the first probe, more than delta from 0.  The
-number of endemic states is odd exactly when R0 > 1.  The profile
-helpers meet the closed forms at unsorted, repeated ages.  A rendered
-config parses back to an equal one, and the sign of the growth rate is
-the sign of R0 - 1; the growth rate solves the converged growth
-equation to tol.  The root finder behind both pressure grids finds a
-close root pair between two samples, none where the maximum stays below
-0, and an exact zero at a sample once.
+excess keeps the sign of the first probe, more than delta from 0.
+Where relapse never exceeds transmission, the amplification does not
+grow at the scan's probes, and the bisected scan returns at most one
+state, bit for bit that of the full scan.  The number of endemic states
+is odd exactly when R0 > 1.  The profile helpers meet the closed forms
+at unsorted, repeated ages.  A rendered config parses back to an equal
+one, and the sign of the growth rate is the sign of R0 - 1; the growth
+rate solves the converged growth equation to tol.  The root finder
+behind both pressure grids finds a close root pair between two samples,
+none where the maximum stays below 0, and an exact zero at a sample
+once.
 """
 
 import math
@@ -357,6 +360,40 @@ def test_excess_keeps_its_sign_below_the_floor(params, share):
     excess = amplification(B, params, kernel) - 1.0
     assert np.sign(excess) == np.sign(first)
     assert abs(excess) > steady._BOUND_MARGIN
+
+
+@st.composite
+def relapse_within_transmission(draw):
+    """Random rate tables with rho <= beta at every knot of the two tables,
+    so at every age: rho is a drawn table cut down to beta on the union of
+    their knots."""
+    params = draw(rate_sets)
+    knots = np.union1d(params.beta.ages, params.rho.ages)
+    rho = np.minimum(params.rho(knots), params.beta(knots))
+    return params.with_rate("rho", AgeProfile(knots, rho))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=relapse_within_transmission())
+def test_relapse_within_transmission_has_one_state_at_most(params):
+    """Where relapse never exceeds transmission, the source beta s + rho (1 - s)
+    does not grow with B and the decay phi + gamma + B rho does not shrink,
+    so u and the amplification do not grow either: at most one endemic
+    state, whose bracket the bisection of the probes finds as the full
+    scan does, bit for bit."""
+    kernel = analysis_kernel(params)
+    data = steady._SteadyData(params, kernel.ages)
+    probes = np.geomspace(steady._SCAN_FLOOR, 1.0, steady._SCAN_POINTS)
+    amp = np.array([steady._amplification(data, float(B), kernel)[0] for B in probes])
+    assert np.all(amp[1:] <= amp[:-1] * (1.0 + 1e-13))
+    bisected = find_fixed_points(params, kernel)
+    with mock.patch.object(steady, "_relapse_within_transmission", return_value=False):
+        scanned = find_fixed_points(params, kernel)
+    assert len(bisected) == len(scanned) <= 1
+    for got, want in zip(bisected, scanned):
+        assert (got.b_star, got.residual) == (want.b_star, want.residual)
+        for field in ("s", "i", "r"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 #: draws keep R0 this far from 1: the truncated age domain moves R0 by

@@ -367,6 +367,61 @@ class TestFindFixedPoints:
         assert find_fixed_points(rates, kernel) == []
         assert len(calls) <= 2
 
+    def test_bisection_where_relapse_stays_within_transmission(
+        self, rates_endemic, kernel_endemic, monkeypatch
+    ):
+        # beta 120 > rho 76.65: the excess falls with B, so bisecting the
+        # 47 probe indices brackets the one root; the scan takes 29 sweeps
+        calls = count_sweeps(monkeypatch)
+        states = find_fixed_points(rates_endemic, kernel_endemic)
+        assert [state.b_star for state in states] == pytest.approx(
+            fixed_points_exact(rates_endemic), abs=1e-8
+        )
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            # beta = rho takes the bisection too: the check allows equality
+            drinking_rates(76.65),
+            drinking_rates(90.0),
+            drinking_rates(120.0),
+            drinking_rates(200.0),
+            # phi + gamma = 0 puts B_cut above 1, and the root between the
+            # last two probes: the bisection evaluates the last one itself
+            ConstantRates(mu=0.0125, beta=50.0, phi=0.0, gamma=0.0, rho=10.0),
+        ],
+    )
+    def test_bisection_gives_the_bits_of_the_scan(self, rates, monkeypatch):
+        kernel = analysis_kernel(rates)
+        assert steady._relapse_within_transmission(rates.to_parameter_set())
+        bisected = find_fixed_points(rates, kernel)
+        monkeypatch.setattr(steady, "_relapse_within_transmission", lambda params: False)
+        scanned = find_fixed_points(rates, kernel)
+        assert len(bisected) == len(scanned) <= 1
+        for got, want in zip(bisected, scanned):
+            assert (got.b_star, got.residual) == (want.b_star, want.residual)
+            for field in ("s", "i", "r"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    def test_relapse_above_transmission_between_knots_keeps_the_scan(self, monkeypatch):
+        # rho <= beta at beta's knots, but at rho's knot 50 relapse is 101
+        # against beta(50) = 100: the excess may turn, so every probe counts
+        from epiage import ParameterSet
+
+        params = ParameterSet(
+            mu=0.0125, beta=[(0.0, 80.0), (100.0, 120.0)], phi=60.0, gamma=13.0,
+            rho=[(0.0, 70.0), (50.0, 101.0)],
+        )
+        assert np.all(params.rho(params.beta.ages) <= params.beta(params.beta.ages))
+        assert not steady._relapse_within_transmission(params)
+
+        def no_bisection(*args):
+            raise AssertionError("bisected a set whose relapse exceeds transmission")
+
+        monkeypatch.setattr(steady, "_bisect", no_bisection)
+        find_fixed_points(params, analysis_kernel(params))
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
     def test_bad_tolerance_rejected_before_any_sweep(
         self, rates_bistable, kernel_bistable, monkeypatch, tol
