@@ -110,7 +110,7 @@ def stationary_mixing(params, grid) -> DemographicKernel:
 
 
 def truncation_age(params: ParameterSet, cutoff: float = SURVIVAL_CUTOFF) -> float:
-    """Smallest age A with survival(A) <= cutoff, found by bisection.
+    """Smallest age A with survival(A) <= cutoff in (0, 1), by bisection.
 
     The bisection starts from the first power of two (up to 2^29) where
     survival is at or below the cutoff.  Each array call evaluates the
@@ -119,6 +119,8 @@ def truncation_age(params: ParameterSet, cutoff: float = SURVIVAL_CUTOFF) -> flo
     bisection's decisions, so A is bit for bit that of bisecting one step
     at a time.
     """
+    if not 0.0 < cutoff < 1.0:
+        raise ParameterError("cutoff must lie in (0, 1)")
     target = math.log(1.0 / cutoff)
     powers = 2.0 ** np.arange(30)
     with np.errstate(over="ignore"):
@@ -152,7 +154,7 @@ def truncation_age(params: ParameterSet, cutoff: float = SURVIVAL_CUTOFF) -> flo
     return hi
 
 
-def _analysis_grid(params: ParameterSet, age_max: float, panels_per_block: int = 128):
+def _analysis_grid(params: ParameterSet, age_max: float):
     """Graded grid suited to steady-state and threshold work.
 
     The grid refines dyadically towards age 0 so that boundary layers of
@@ -162,20 +164,16 @@ def _analysis_grid(params: ParameterSet, age_max: float, panels_per_block: int =
     # mu + beta + phi + gamma + rho + 1, added in that order
     fastest = sum(getattr(params, name).max_value() for name in RATE_NAMES[:5]) + 1.0
     knots = np.concatenate([getattr(params, name).ages for name in RATE_NAMES])
-    return QuadratureGrid.graded(age_max, 1.0 / fastest, panels_per_block, knots=knots)
+    return QuadratureGrid.graded(age_max, 1.0 / fastest, knots=knots)
 
 
-def analysis_kernel(
-    params,
-    cutoff: float = SURVIVAL_CUTOFF,
-    panels_per_block: int = 128,
-    age_max: float | None = None,
-) -> DemographicKernel:
-    """Kernel on the graded grid of ``_analysis_grid``."""
+def analysis_kernel(params, age_max: float | None = None) -> DemographicKernel:
+    """Kernel on the graded grid of ``_analysis_grid`` over [0, age_max],
+    by default up to ``truncation_age`` at ``SURVIVAL_CUTOFF``."""
     params = as_parameter_set(params)
     if age_max is None:
-        age_max = truncation_age(params, cutoff)
-    return _kernel_on(params, _analysis_grid(params, age_max, panels_per_block))
+        age_max = truncation_age(params)
+    return _kernel_on(params, _analysis_grid(params, age_max))
 
 
 def refine_kernel(params, kernel: DemographicKernel) -> DemographicKernel:

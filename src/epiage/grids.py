@@ -114,9 +114,7 @@ class QuadratureGrid:
     def uniform(cls, length: float, n_panels: int) -> "QuadratureGrid":
         if not 0.0 < length < math.inf or n_panels < 2:
             raise ParameterError("quadrature grid needs finite length > 0, panels >= 2")
-        nodes = np.linspace(0.0, length, n_panels + 1)
-        w = _simpson_weights(n_panels, length / n_panels)
-        return cls(nodes, w, n_panels)
+        return cls._blocks([0.0, length], n_panels)
 
     @classmethod
     def graded(

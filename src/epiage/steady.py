@@ -2,21 +2,22 @@
 
 Freezing the force of infection at a trial value B turns the steady-state
 system into linear ODEs in age with known boundary values; the one
-swept is that of u = i/B:
+swept, by ``_SteadyData.sweep``, is that of u = i/B:
 
     s(a) = exp(-B * integral of beta),
-    u' = rho + (beta - rho) s - (phi + gamma + B rho) u,     u(0) = 0,
-    i = B u,    r = (1 - s) - B u.
+    u' = rho + (beta - rho) s - (phi + gamma + lam + B rho) u,   u(0) = 0,
+    i = B u,    r = (1 - s) - B u   (lam = 0).
 
-At B = 0, u is R0's kernel W (W' = beta - (phi+gamma) W, W(0) = 0).
-``amplification``, the ratio of induced to assumed pressure, is the
-pressure quadrature of u at every B >= 0: no division by B, and R0 on
-the kernel's grid at B = 0.  ``induced_pressure`` is B times it, and
-endemic states are its unit crossings in (0, 1].  r loses relative
-digits only at young ages, where r is far below i.  ``infected_profile``
-and ``recovered_profile`` sweep u on the same graded grid, cut at the
-oldest requested age, and refine it by ``grids.adapt``: the blocks across
-which i and r still change are split until those changes converge.
+At B = 0 the source is beta and u the growth equation's W(.; lam), R0's
+kernel W at lam = 0; rho is sampled only for B > 0.  ``amplification``,
+the ratio of induced to assumed pressure, is the pressure quadrature of
+u at every B >= 0: no division by B, and R0 on the kernel's grid, bit
+for bit, at B = 0.  ``induced_pressure`` is B times it, and endemic
+states are its unit crossings in (0, 1].  r loses relative digits only
+at young ages, where r is far below i.  ``infected_profile`` and
+``recovered_profile`` sweep u on the same graded grid, cut at the oldest
+requested age, and refine it by ``grids.adapt``: the blocks across which
+i and r still change are split until those changes converge.
 
 ``find_fixed_points`` scans the excess amplification - 1 on a coarse
 geometric set of probes from 1e-9 up to the a-priori bound B_cut above
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +77,11 @@ _SCAN_POINTS = 48
 #: margin delta of the a-priori bound: beyond B_cut the excess is below
 #: -delta, far outside the sweep's discretisation error
 _BOUND_MARGIN = 1e-2
+
+
+def _check_tolerance(value: float, name: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise ParameterError(f"{name} must be positive and finite")
 
 
 def _check_pressure(B: float) -> None:
@@ -131,27 +138,35 @@ def recovered_profile(B: float, params, ages) -> np.ndarray:
 
 
 class _SteadyData:
-    """Cumulative-rate samples reused across repeated profile evaluations."""
+    """Rate samples on ``ages``, shared by every sweep there."""
 
     def __init__(self, params, ages: np.ndarray):
         self.params = params
         self.ages = ages
-        stages = cell_stages(ages)
         exit_pressure = params.exit_pressure()
-        self.stage_rho = params.rho(stages)
-        self.stage_beta_less_rho = params.beta(stages) - self.stage_rho
-        self.stage_cum_beta = params.beta.cumulative(stages)
+        self.stage_beta = params.beta(cell_stages(ages))
         self.cum_beta = params.beta.cumulative(ages)
         self.cum_exit = exit_pressure.cumulative(ages)
-        self.cum_rho = params.rho.cumulative(ages)
         self.exit_nodes = exit_pressure(ages)
-        self.rho_nodes = params.rho(ages)
 
-    def sweep(self, B: float):
-        """u = i/B under frozen pressure B; R0's kernel W at B = 0."""
-        g = self.stage_rho + self.stage_beta_less_rho * np.exp(-B * self.stage_cum_beta)
-        psi = self.cum_exit + B * self.cum_rho
-        decay = self.exit_nodes + B * self.rho_nodes
+    @cached_property
+    def _relapse(self):
+        """rho, beta - rho, cumbeta at the stages; rho, its integral at the nodes."""
+        stages, rho = cell_stages(self.ages), self.params.rho
+        stage_rho = rho(stages)
+        return (stage_rho, self.stage_beta - stage_rho, self.params.beta.cumulative(stages),
+                rho(self.ages), rho.cumulative(self.ages))
+
+    def sweep(self, B: float = 0.0, lam: float = 0.0):
+        """u under frozen pressure B at growth rate lam (see the module docstring)."""
+        g, psi, decay = self.stage_beta, self.cum_exit, self.exit_nodes
+        if B:
+            rho, beta_less_rho, cum_beta, rho_nodes, cum_rho = self._relapse
+            g = rho + beta_less_rho * np.exp(-B * cum_beta)
+            psi = psi + B * cum_rho
+            decay = decay + B * rho_nodes
+        if lam:  # only differences of the decay enter the sweep: lam stays out
+            psi = psi + lam * self.ages
         return _sweep.exp_sweep(self.ages, psi, g, decay)
 
     def profiles(self, B: float, u: np.ndarray):
@@ -284,8 +299,7 @@ def find_fixed_points(params, kernel: DemographicKernel, tol: float = 1e-10):
     until |amplification - 1| <= tol.  Each root's profiles come from the
     u of the evaluation that found it, with no further sweep.
     """
-    if not 0.0 < tol < math.inf:
-        raise ParameterError("tol must be positive and finite")
+    _check_tolerance(tol, "tol")
     params = as_parameter_set(params)
     data = _SteadyData(params, kernel.ages)
 

@@ -5,7 +5,8 @@ The growth equation (Euler-Lotka form) for the exponential rate lam is
     G(lam) = integral over a of density(a) * W(a; lam) = 1,
 
 where W(a; lam) is the expected transmission kernel accumulated along age,
-i.e. the solution of W' = beta(a) - (lam + phi(a) + gamma(a)) W, W(0) = 0.
+i.e. the solution of W' = beta(a) - (lam + phi(a) + gamma(a)) W, W(0) = 0:
+the steady solver's sweep at B = 0, on the samples of ``_LotkaData``.
 G is continuous, strictly decreasing and convex, so it has exactly one
 real root, and the root's sign matches the sign of G(0) - 1 = R0 - 1.
 
@@ -29,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _sweep
 from ._roots import bracketed_root
 from .demography import DemographicKernel, _kernel_on
-from .errors import NumericsError, ParameterError, ToleranceError
-from .grids import adapt, cell_stages
+from .errors import DomainError, NumericsError, ToleranceError
+from .grids import adapt
 from .parameters import as_parameter_set
+from .steady import _check_tolerance, _SteadyData
 
 _BRACKET_LIMIT = 1e6
 
@@ -47,18 +48,12 @@ class ThresholdReport:
     region: str  # "extinction" | "bistable-candidate" | "endemic"
 
 
-class _LotkaData:
-    """Age-grid samples reused across repeated G evaluations."""
+class _LotkaData(_SteadyData):
+    """The steady sweep's samples on a kernel's grid, its finer levels and G's integrands."""
 
     def __init__(self, params, kernel: DemographicKernel):
-        self.params = params
+        super().__init__(params, kernel.ages)
         self.kernel = kernel
-        self.nodes = kernel.ages
-        exit_pressure = params.exit_pressure()
-        self.damping = exit_pressure.cumulative(self.nodes)
-        self.exit_nodes = exit_pressure(self.nodes)
-        stages = cell_stages(self.nodes)
-        self.stage_beta = params.beta(stages)
         self._integrands = {}
         self._levels = {}
 
@@ -87,11 +82,7 @@ class _LotkaData:
     def integrand(self, lam: float) -> np.ndarray:
         """density * W(.; lam) at the nodes, swept once for each lam."""
         if lam not in self._integrands:
-            psi = self.damping + lam * self.nodes
-            # only differences of the decay samples enter the correction, so
-            # the constant lam shift is immaterial
-            w = _sweep.exp_sweep(self.nodes, psi, self.stage_beta, self.exit_nodes)
-            self._integrands[lam] = self.kernel.density * w
+            self._integrands[lam] = self.kernel.density * self.sweep(lam=lam)
         return self._integrands[lam]
 
     def g_value(self, lam: float) -> float:
@@ -108,11 +99,6 @@ class _LotkaData:
 
 def _key(grid) -> tuple:
     return grid.panels, grid.edges.tobytes()
-
-
-def _check_tolerance(value: float, name: str) -> None:
-    if not 0.0 < value < math.inf:
-        raise ParameterError(f"{name} must be positive and finite")
 
 
 def _adapted(data: _LotkaData, grid, rtol: float, integrand):
@@ -135,7 +121,9 @@ def _adapted(data: _LotkaData, grid, rtol: float, integrand):
 
 
 def euler_lotka(lam: float, params, kernel: DemographicKernel, rtol: float = 1e-8):
-    """G(lam); returns +inf when the growing integrand overflows."""
+    """G(lam) for finite lam; returns +inf when the growing integrand overflows."""
+    if not math.isfinite(lam):
+        raise DomainError("lam must be finite")
     _check_tolerance(rtol, "rtol")  # before the sweep of the overflow check
     data = _LotkaData.below(params, kernel)
     if math.isinf(data.g_value(lam)):
@@ -183,8 +171,7 @@ def _r0(data: _LotkaData, rtol: float = 1e-8) -> float:
 
 
 def _rc(data: _LotkaData, rtol: float = 1e-8) -> float:
-    cum_beta = data.params.beta.cumulative
-    return _adapted(data, data.kernel.grid, rtol, lambda x: x.kernel.density * cum_beta(x.nodes))[0]
+    return _adapted(data, data.kernel.grid, rtol, lambda x: x.kernel.density * x.cum_beta)[0]
 
 
 def _growth_rate(data: _LotkaData, tol: float) -> float:

@@ -121,6 +121,11 @@ class TestMixingDensity:
             cutoff = 10.0 ** rng.uniform(-14.0, -0.5)
             assert truncation_age(params, cutoff) == reference(params, cutoff)
 
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, math.inf, 1.0, 1.5, math.nan])
+    def test_truncation_age_rejects_a_cutoff_outside_the_unit_interval(self, cutoff):
+        with pytest.raises(ParameterError, match=r"cutoff must lie in \(0, 1\)"):
+            truncation_age(make_params(), cutoff)
+
     def test_density_integral_against_adaptive_oracle(self):
         params = make_params(contact=[(0.0, 0.6), (20.0, 1.2), (100.0, 0.3)])
         kernel = analysis_kernel(params)

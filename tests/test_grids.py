@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from epiage import GridSpec, ParameterError, ParameterSet, QuadratureGrid, analysis_kernel
-from epiage.grids import cell_stages
+from epiage.grids import _simpson_weights, cell_stages
 
 
 def test_grid_spec_derived_steps():
@@ -45,6 +45,26 @@ def test_nodes_at_the_largest_extent():
     for nodes in (g.age_nodes(), g.time_nodes()):
         assert np.all(np.isfinite(nodes))
         assert nodes[-1] == 1.7976931348623157e308
+
+
+def test_uniform_grid_is_one_block_of_linspace_nodes():
+    """``uniform`` builds one block of ``_blocks``: its nodes and weights are
+    those of linspace and the Simpson (or, for an odd count, trapezoid)
+    weights of the panel width, bit for bit, up to the largest double and
+    down to subnormal panels (where the width underflows to 0, linspace
+    rounds the interior nodes of the ramp, and ``_blocks`` keeps them at 0)."""
+    rng = np.random.default_rng(7)
+    lengths = [1e-310, 1e-300, 1.0, 2.0, 1e300, 1.7976931348623157e308]
+    lengths += list(10.0 ** rng.uniform(-300.0, 300.0, 24))
+    for length in lengths:
+        for n_panels in (2, 3, 4, 5, 7, 128, 129, int(rng.integers(2, 5000))):
+            with np.errstate(over="ignore"):
+                grid = QuadratureGrid.uniform(length, n_panels)
+                nodes = np.linspace(0.0, length, n_panels + 1)
+                weights = _simpson_weights(n_panels, length / n_panels)
+            assert grid.panels == n_panels
+            assert grid.nodes.tobytes() == nodes.tobytes()
+            assert grid.weights.tobytes() == weights.tobytes()
 
 
 def test_uniform_simpson_exact_for_cubics():

@@ -16,9 +16,11 @@ from epiage import (
     r0,
     recovered_profile,
     susceptible_profile,
+    truncation_age,
 )
-from epiage import _sweep, grids, steady
+from epiage import _sweep, grids, steady, thresholds
 from epiage.errors import DomainError, ParameterError, ToleranceError
+from epiage.parameters import as_parameter_set
 
 
 def drinking_rates(beta):
@@ -217,16 +219,20 @@ class TestPressureMap:
         value = induced_pressure(0.1, rates_bistable, kernel_bistable)
         assert value == pytest.approx(0.1 * 0.94965, abs=1e-6)
 
-    def test_amplification_limit_is_r0(self, rates_bistable, kernel_bistable):
-        limit = amplification(0.0, rates_bistable, kernel_bistable)
-        assert limit == pytest.approx(r0(rates_bistable, kernel_bistable), abs=1e-12)
-        assert limit == pytest.approx(0.8218, abs=1e-3)
+    def test_amplification_limit_is_r0(self, preset_kernel):
+        # at B = 0 the steady sweep is R0's sweep of W, with the same source
+        # beta, so the two quadratures on the kernel's grid agree bit for bit
+        params, kernel = preset_kernel
+        limit = amplification(0.0, params, kernel)
+        assert limit == thresholds._LotkaData(params, kernel).g_value(0.0)
+        # R0 adapts its grid; on agedep's kernel grid G(0) is 5e-8 off it
+        assert limit == pytest.approx(r0(params, kernel), rel=1e-7)
 
     def test_amplification_is_continuous_at_small_pressure(self):
         # the lower branch of a backward bifurcation leaves B = 0 as R0
         # nears 1, so the excess must hold its digits below 1e-5 too
         rates = drinking_rates(60.0)
-        kernel = analysis_kernel(rates, cutoff=1e-12)
+        kernel = analysis_kernel(rates, age_max=truncation_age(as_parameter_set(rates), 1e-12))
         for B in np.geomspace(1e-9, 1e-5, 17):
             assert amplification(B, rates, kernel) == pytest.approx(
                 amplification_exact(B, rates), abs=1e-10
@@ -244,7 +250,7 @@ class TestPressureMap:
                 gamma=rng.uniform(0.3, 4.0),
                 rho=rng.uniform(0.3, 8.0),
             )
-            kernel = analysis_kernel(rates, cutoff=1e-12)
+            kernel = analysis_kernel(rates, age_max=truncation_age(as_parameter_set(rates), 1e-12))
             B = rng.uniform(0.01, 0.99)
             general = amplification(B, rates, kernel)
             rational = amplification_exact(B, rates)

@@ -8,6 +8,7 @@ from epiage import _sweep, thresholds
 from epiage import (
     AgeProfile,
     ConstantRates,
+    DomainError,
     NumericsError,
     ParameterError,
     ParameterSet,
@@ -111,6 +112,16 @@ class TestEulerLotka:
     def test_overflow_sentinel(self, rates_bistable, kernel_bistable):
         assert euler_lotka(-1000.0, rates_bistable, kernel_bistable) == np.inf
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lam_rejected_before_any_sweep(
+        self, rates_bistable, kernel_bistable, monkeypatch, lam
+    ):
+        # G tends to 0 as lam grows and has no value at nan: +inf is no answer
+        count = level0_sweeps(monkeypatch, kernel_bistable)
+        with pytest.raises(DomainError):
+            euler_lotka(lam, rates_bistable, kernel_bistable)
+        assert count() == 0
+
 
 class TestDominantGrowthRate:
     def test_bistable_set(self, rates_bistable, kernel_bistable):
@@ -197,7 +208,7 @@ class TestToleranceContract:
             gamma=13.0,
             rho=76.65,
         )
-        kernel = analysis_kernel(params, panels_per_block=4)
+        kernel = analysis_kernel(params)
         with pytest.raises(ToleranceError) as err:
             r0(params, kernel, rtol=1e-15)
         # the estimate is still in the right ballpark
@@ -339,6 +350,24 @@ class TestClassify:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_leaves_no_level_with_relapse_samples(self, preset_kernel, monkeypatch):
+        # R0, RC and the growth rate sweep at B = 0, where the steady
+        # sweep's source is beta alone: rho is never sampled
+        params, kernel = preset_kernel
+        below = thresholds._LotkaData.below.__func__
+        made = []
+
+        def kept(cls, params, kernel):
+            made.append(below(cls, params, kernel))
+            return made[-1]
+
+        monkeypatch.setattr(thresholds._LotkaData, "below", classmethod(kept))
+        classify(params, kernel, tol=1e-9)
+        (data,) = made
+        levels = [data, *data._levels.values()]
+        assert len(levels) > 1
+        assert not any("_relapse" in vars(level) for level in levels)
 
     def test_three_regions(self, rates_extinction, rates_bistable, rates_endemic,
                            kernel_extinction, kernel_bistable, kernel_endemic):
