@@ -41,7 +41,7 @@ def closed_form_profiles(B: float, rates: ConstantRates, ages):
     if not 0.0 <= B < math.inf:
         raise DomainError("B must be finite and >= 0")
     a = np.asarray(ages, dtype=float)
-    if np.any(a < 0):
+    if not np.all(a >= 0):
         raise DomainError("ages must be >= 0")
     if B == 0:
         one = np.ones_like(a)

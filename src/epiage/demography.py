@@ -1,8 +1,9 @@
 """Demographic quantities: survival, total population, mixing density.
 
-The infinite age domain is truncated to [0, A].  Kernels renormalize the
-stationary mixing density so its quadrature over [0, A] is exactly one,
-which the fixed-point analysis relies on.
+The infinite age domain is truncated to [0, A], where survival first
+falls to ``SURVIVAL_CUTOFF``: the exit rate's exact cumulative, inverted.
+Kernels renormalize the stationary mixing density so its quadrature over
+[0, A] is exactly one, which the fixed-point analysis relies on.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .profiles import as_profile
 
 #: default truncation: age_max is chosen so survival(age_max) <= this
 SURVIVAL_CUTOFF = 1e-6
-#: bisection steps whose midpoints ``truncation_age`` evaluates at once
-_BISECTION_BLOCK = 6
 
 
 def survival(params: ParameterSet, a):
@@ -109,49 +108,16 @@ def stationary_mixing(params, grid) -> DemographicKernel:
     return _kernel_on(params, grid)
 
 
-def truncation_age(params: ParameterSet, cutoff: float = SURVIVAL_CUTOFF) -> float:
-    """Smallest age A with survival(A) <= cutoff in (0, 1), by bisection.
-
-    The bisection starts from the first power of two (up to 2^29) where
-    survival is at or below the cutoff.  Each array call evaluates the
-    midpoints of the next ``_BISECTION_BLOCK`` steps, every one the
-    bisection could reach; walking down that tree makes the scalar
-    bisection's decisions, so A is bit for bit that of bisecting one step
-    at a time.
-    """
+def truncation_age(params, cutoff: float = SURVIVAL_CUTOFF) -> float:
+    """Smallest age A <= 2^29 with survival(A) <= cutoff in (0, 1), from
+    ``mu.age_at``: a full bisection's A wherever mu does not fall at A, and
+    a few ulps from it at most where mu falls (see ``AgeProfile.age_at``)."""
     if not 0.0 < cutoff < 1.0:
         raise ParameterError("cutoff must lie in (0, 1)")
-    target = math.log(1.0 / cutoff)
-    powers = 2.0 ** np.arange(30)
-    with np.errstate(over="ignore"):
-        reached = params.mu.cumulative(powers) >= target
-    if not reached.any():
+    age = as_parameter_set(params).mu.age_at(math.log(1.0 / cutoff))
+    if age > 2.0**29:
         raise ParameterError("survival decays too slowly to truncate")
-    hi = float(powers[reached.argmax()])
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    steps = 0
-    while steps < 80:
-        # level k holds the 2^k midpoints k steps down, the midpoints of
-        # the intervals between neighbours of the points above it; interval
-        # i splits into 2i (below its midpoint) and 2i + 1 (above)
-        points, levels = [lo, hi], []
-        for _ in range(_BISECTION_BLOCK):
-            mids = [0.5 * (a + b) for a, b in zip(points, points[1:])]
-            levels.append(mids)
-            points = [x for pair in zip(points, mids) for x in pair] + points[-1:]
-        short = params.mu.cumulative(np.array(sum(levels, []))) < target
-        i = 0
-        for k, mids in enumerate(levels[: 80 - steps]):
-            mid = mids[i]
-            # lo and hi are adjacent doubles: every later step would repeat this
-            if mid == lo or mid == hi:
-                return hi
-            if short[2**k - 1 + i]:
-                lo, i = mid, 2 * i + 1
-            else:
-                hi, i = mid, 2 * i
-        steps += len(levels)
-    return hi
+    return age
 
 
 def _analysis_grid(params: ParameterSet, age_max: float):

@@ -151,10 +151,12 @@ class QuadratureGrid:
         edges = np.asarray(edges, dtype=float)
         lo, hi = edges[:-1, None], edges[1:]
         h = (hi[:, None] - lo) / n_panels
-        nodes = lo + h * np.arange(1, n_panels + 1)
+        # near the largest double the last node of the ramp can overflow
+        with np.errstate(over="ignore"):
+            nodes = lo + h * np.arange(1, n_panels + 1)
         # the edge itself, also where h underflows in a block narrower
-        # than its panels (a knot at 5e-324): the next block's first
-        # node must sample the rates on its own side of the edge
+        # than its panels (a knot at 5e-324) or the ramp overflowed: the
+        # next block's first node must sample the rates on its own side
         nodes[:, -1] = hi
         w = _simpson_weights(n_panels, h[:, 0])
         weights = np.zeros(nodes.size + 1)

@@ -82,7 +82,7 @@ class AgeProfile:
 
     def __call__(self, a):
         a_arr = np.asarray(a, dtype=float)
-        if np.any(a_arr < 0):
+        if not np.all(a_arr >= 0):
             raise DomainError("age must be >= 0")
         ages = np.atleast_1d(a_arr)
         out = np.interp(ages, self.ages, self.values)
@@ -102,7 +102,7 @@ class AgeProfile:
         and at ``values[-1]`` beyond the last one.
         """
         a_arr = np.atleast_1d(np.asarray(a, dtype=float))
-        if np.any(a_arr < 0):
+        if not np.all(a_arr >= 0):
             raise DomainError("age must be >= 0")
         starts, integrals, values, half_slopes = self._segments
         k = np.searchsorted(starts, a_arr, side="right") - 1
@@ -113,6 +113,40 @@ class AgeProfile:
         if np.isscalar(a) or np.asarray(a).ndim == 0:
             return float(out[0])
         return out
+
+    def age_at(self, level):
+        """Smallest age A with ``cumulative(A) >= level``; inf where the
+        profile never reaches ``level``.
+
+        A search over the doubles starts at the root of the segment's
+        quadratic, 2 rest / (v + sqrt(v^2 + 4 h rest)) in units of its larger
+        end value (no cancellation, no overflow), with strides that double so
+        that no plateau of the rounded cumulative stalls it.  Where the rate
+        does not fall at A, A is the one such double.  Where it falls, the
+        rounded cumulative can wiggle in its last ulp, and A is a crossing
+        cumulative(A) >= level > cumulative(prevfloat(A)) next to the root.
+        """
+        level = float(level)
+        if not level >= 0.0:
+            raise DomainError("level must be >= 0")
+        starts, integrals, values, half_slopes = self._segments
+        k = max(int(np.searchsorted(integrals, level)) - 1, 0)
+        rest, v, h = level - integrals[k], values[k], half_slopes[k]
+        m = values[k : k + 2].max()
+        # doubles as ordered integers, -1 below age 0: cum(lo) < level <= cum(hi)
+        lo, hi = -1, int(np.float64(np.inf).view(np.int64))
+        with np.errstate(all="ignore"):  # a root or a far probe may overflow
+            root = np.sqrt(max((v / m) ** 2 + 4.0 * (h * (rest / m) / m), 0.0))
+            guess = starts[k] + 2.0 * (rest / m) / (v / m + root)
+            near, stride = min(max(int(guess.view(np.int64)), 0), hi - 1), 1
+            while hi - lo > 1:
+                probe = near if lo < near < hi else (lo + hi) // 2
+                if self.cumulative(np.int64(probe).view(np.float64)) < level:
+                    lo, near = probe, probe + stride
+                else:
+                    hi, near = probe, probe - stride
+                stride *= 2
+        return float(np.int64(hi).view(np.float64))
 
     def max_value(self):
         """Largest value the profile attains (extremes sit at knots)."""

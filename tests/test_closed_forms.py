@@ -66,6 +66,11 @@ class TestClosedFormProfiles:
         assert np.abs(i_closed - i_general).max() < 1e-9
 
 
+def test_nan_age_rejected(rates_bistable):
+    with pytest.raises(DomainError, match="ages must be >= 0"):
+        closed_form_profiles(0.1, rates_bistable, [np.nan])
+
+
 class TestRationalAmplification:
     def test_limit_is_r0(self, rates_bistable):
         r0_value, _ = r0_rc_exact(rates_bistable)

@@ -17,12 +17,29 @@ from epiage import (
     truncation_age,
     validate,
 )
+from epiage.presets import PRESETS, preset_config
 
 
 def make_params(**overrides):
     base = dict(mu=0.0125, beta=60.0, phi=60.0, gamma=13.0, rho=76.65, contact=1.0)
     base.update(overrides)
     return ParameterSet(**base)
+
+
+def reference(params, cutoff):
+    """Truncation age by 80 steps of bisection from a power of two."""
+    target = math.log(1.0 / cutoff)
+    hi = 1.0
+    while params.mu.cumulative(hi) < target:
+        hi *= 2.0
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if params.mu.cumulative(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class TestSurvival:
@@ -100,26 +117,41 @@ class TestMixingDensity:
         assert kernel.integrate(kernel.density) == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_age_matches_the_80_step_bisection(self, rng):
-        def reference(params, cutoff):
-            target = math.log(1.0 / cutoff)
-            hi = 1.0
-            while params.mu.cumulative(hi) < target:
-                hi *= 2.0
-            lo = hi / 2.0 if hi > 1.0 else 0.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if params.mu.cumulative(mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            return hi
-
         for _ in range(40):
             n = rng.integers(1, 5)
             knots = np.sort(rng.uniform(0.0, 200.0, n))
             params = make_params(mu=list(zip(knots, rng.uniform(1e-3, 2.0, n))))
             cutoff = 10.0 ** rng.uniform(-14.0, -0.5)
             assert truncation_age(params, cutoff) == reference(params, cutoff)
+
+    def test_truncation_age_is_a_crossing_of_the_cumulative(self, rng):
+        """On 2000 tables whose rate rises and falls, A is a crossing of the
+        rounded cumulative.  Where the rate does not fall at A (a constant
+        rate, past the last knot, or on a rising segment) the rounded
+        cumulative is monotone, and A is the bisection's."""
+        for _ in range(2000):
+            n = rng.integers(1, 6)
+            knots = np.sort(rng.uniform(0.0, 200.0, n))
+            knots[0] *= rng.integers(0, 2)
+            values = rng.uniform(1e-3, 2.0, n)
+            params = make_params(mu=list(zip(knots, values)))
+            cutoff = 10.0 ** rng.uniform(-14.0, -0.5)
+            target, age = math.log(1.0 / cutoff), truncation_age(params, cutoff)
+            cumulative = params.mu.cumulative
+            assert cumulative(age) >= target > cumulative(math.nextafter(age, 0.0))
+            k = np.searchsorted(knots, age)
+            if k in (0, n) or values[k] >= values[k - 1]:
+                assert age == reference(params, cutoff)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_truncation_age_of_each_preset(self, preset):
+        """The four drinking-rate presets share mu; a moved bit fails."""
+        expected = 294.5918426327379 if preset == "agedep" else 1105.240844637142
+        assert truncation_age(preset_config(preset).params) == expected
+
+    def test_truncation_age_of_constant_rates(self):
+        config = preset_config("bistable-high")
+        assert truncation_age(config.rates) == truncation_age(config.params)
 
     @pytest.mark.parametrize("cutoff", [0.0, -1.0, math.inf, 1.0, 1.5, math.nan])
     def test_truncation_age_rejects_a_cutoff_outside_the_unit_interval(self, cutoff):

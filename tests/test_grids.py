@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ def test_nodes_at_the_largest_extent():
     for nodes in (g.age_nodes(), g.time_nodes()):
         assert np.all(np.isfinite(nodes))
         assert nodes[-1] == 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("n_panels", [3, 7])
+def test_uniform_grid_at_the_largest_extent(n_panels):
+    """The ramp's last node overflows before the edge replaces it, with no
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = QuadratureGrid.uniform(1.7976931348623157e308, n_panels)
+    assert np.all(np.isfinite(grid.nodes))
+    assert grid.nodes[-1] == 1.7976931348623157e308
 
 
 def test_uniform_grid_is_one_block_of_linspace_nodes():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -28,6 +30,53 @@ def test_negative_age_rejected():
         p(-1.0)
     with pytest.raises(DomainError):
         p.cumulative(-0.5)
+
+
+def test_nan_age_rejected():
+    p = as_profile([(0.0, 1.0), (10.0, 2.0)])
+    with pytest.raises(DomainError, match="age must be >= 0"):
+        p(math.nan)
+    with pytest.raises(DomainError, match="age must be >= 0"):
+        p.cumulative([0.0, math.nan])
+    assert p.cumulative(math.inf) == math.inf
+
+
+@pytest.mark.parametrize("level", [math.nan, -1.0, -math.inf])
+def test_age_at_rejects_nan_and_negative_levels(level):
+    with pytest.raises(DomainError):
+        as_profile([(0.0, 1.0), (10.0, 2.0)]).age_at(level)
+
+
+def test_age_at_ends():
+    p = as_profile([(0.0, 1.0), (10.0, 0.0)])
+    assert p.age_at(0.0) == 0.0
+    # the rate is 0 past the last knot, so the cumulative stops at 5
+    assert p.age_at(5.5) == math.inf
+    assert AgeProfile.constant(1.0).age_at(math.inf) == math.inf
+
+
+@pytest.mark.parametrize(
+    "spec, level",
+    [
+        # the quadratic's v^2 overflows
+        (1e300, 13.8),
+        ([(0.0, 1e300), (1.0, 1e200)], 1e299),
+        # rising from 0: the root is sqrt(rest / h)
+        ([(0.0, 0.0), (1.0, 1.0)], 1e-300),
+        # falling to 0 at the knot, where the cumulative flattens
+        ([(0.0, 1.0), (10.0, 0.0)], 5.0),
+    ],
+)
+def test_age_at_is_a_crossing_at_extreme_scales(spec, level):
+    p = as_profile(spec)
+    age = p.age_at(level)
+    assert p.cumulative(age) >= level > p.cumulative(math.nextafter(age, 0.0))
+
+
+def test_age_at_crosses_a_rounding_plateau():
+    """a * 5e-324 rounds to 5e-324 for every a in (0.5, 1.5): a search by
+    single doubles from the root 1.0 would take 2^52 steps."""
+    assert AgeProfile.constant(5e-324).age_at(5e-324) == math.nextafter(0.5, 1.0)
 
 
 def test_invalid_tables_rejected():

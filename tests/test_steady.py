@@ -75,6 +75,10 @@ class TestProfiles:
         with pytest.raises(DomainError):
             recovered_profile(-0.1, rates_bistable, np.array([0.0, 1.0]))
 
+    def test_susceptible_rejects_a_nan_age(self, rates_bistable):
+        with pytest.raises(DomainError, match="age must be >= 0"):
+            susceptible_profile(0.1, rates_bistable, [0.0, np.nan])
+
     def test_ages_must_start_at_zero(self, rates_bistable):
         with pytest.raises(DomainError):
             recovered_profile(0.1, rates_bistable, np.array([1.0, 2.0]))
