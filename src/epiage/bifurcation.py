@@ -6,8 +6,12 @@ an optional stability tag.  Rows whose rates are all constant take R0 and
 the branches from the closed forms and check them against the general
 fixed-point solver; other rows use the general solver alone.  Stability
 is that of the upwind transport scheme itself: the probe finds the
-scheme's own equilibrium next to the branch and counts the eigenvalues of
-its one-step map, linearised there, that lie outside the unit disk.
+scheme's own equilibrium next to the branch and asks whether its one-step
+map, linearised there, has an eigenvalue outside the unit disk.  These
+are the zeros outside the disk of a characteristic function f, which is
+real on [1, infinity) and tends to 1 there: f(1) < 0 puts a real one
+above 1, and only where f(1) > 0 is the winding of f around the unit
+circle counted.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ _PROBE_TOL = 1e-10
 #: the walk from b* to the scheme's equilibrium: first and last log step
 _WALK_STEP = 0.01
 _WALK_REACH = 20.0
-#: f is first sampled at this many points of the upper half circle, then
-#: between every two neighbours whose arg differs by more than pi/2
+#: where f(1) > 0, f is sampled at this many points of the upper half
+#: circle, then between every two neighbours whose arg differs by more
+#: than pi/2
 _CIRCLE_POINTS = 9
 #: circle points evaluated together, which bounds the probe's memory
 _CIRCLE_BATCH = 2
@@ -140,13 +145,17 @@ class _UpwindScheme:
         y_r = _linear_recurrence(lam / den, -dt * (self.exit * y_s + self.rho * r) / den)
         return 1.0 + (y_s + y_r) @ self.c
 
-    def unstable_count(self, B: float, s, r) -> int:
-        """Eigenvalues of J outside the unit disk, as the winding number of f.
+    def unstable(self, B: float, s, r) -> bool:
+        """Whether J has an eigenvalue outside the unit disk.
 
-        A's spectrum lies in [0, 1 - dt/da] under the positivity gate, so
-        J has an eigenvalue z outside the disk exactly where f(z) = 0, and
-        f(infinity) = 1.  As f(conj z) = conj f(z), the arg change of f over
-        the upper half circle, from z = 1 to z = -1, is half the total.
+        A's spectrum lies in [0, 1 - dt/da] under the positivity gate, and
+        det(zI - J) = det(zI - A) f(z), so J has an eigenvalue z outside
+        the disk exactly where f(z) = 0.  On [1, infinity) f is real and
+        continuous and tends to 1, so f(1) < 0 puts an eigenvalue on that
+        ray, and the first batch of samples decides.  Otherwise the count
+        is the winding number of f: as f(conj z) = conj f(z), the arg
+        change of f over the upper half circle, from z = 1 to z = -1, is
+        half the total.
         """
 
         def f(theta):
@@ -156,14 +165,17 @@ class _UpwindScheme:
             ])
 
         theta = np.linspace(0.0, math.pi, _CIRCLE_POINTS)
-        values = f(theta)
+        values = f(theta[:_CIRCLE_BATCH])
+        if values[0].real < 0.0:
+            return True
+        values = np.concatenate([values, f(theta[_CIRCLE_BATCH:])])
         while True:
             if theta.size > _CIRCLE_MAX or not np.all(np.isfinite(values) & (values != 0.0)):
                 raise NumericsError("the characteristic function vanishes on the unit circle")
             steps = np.angle(values[1:] / values[:-1])
             wide = np.abs(steps) > 0.5 * math.pi
             if not np.any(wide):
-                return -round(float(np.sum(steps)) / math.pi)
+                return -round(float(np.sum(steps)) / math.pi) > 0
             middle = 0.5 * (theta[:-1] + theta[1:])[wide]
             theta = np.concatenate([theta, middle])
             values = np.concatenate([values, f(middle)])
@@ -212,10 +224,13 @@ def stability_probe(params, steady: SteadyState) -> str:
 
     On the probe grid (ages 0-200 in 4000 cells, the automatic time step
     for one year) the scheme's equilibrium next to ``steady.b_star``
-    is solved without time stepping, and the eigenvalues of the one-step
-    map linearised there are counted outside the unit disk: "stable" for
-    none, "unstable" otherwise.  The infection-free state (b_star == 0) is
-    counted at B = 0, s = 1, r = 0.  "untested" when the grid has no
+    is solved without time stepping, and the one-step map linearised
+    there is "unstable" where it has an eigenvalue outside the unit disk,
+    "stable" otherwise.  Its characteristic function f is real on
+    [1, infinity) and tends to 1, so f(1) < 0 decides "unstable" from two
+    samples; only where f(1) > 0 are the zeros outside the disk counted,
+    by the winding of f.  The infection-free state (b_star == 0) is
+    probed at B = 0, s = 1, r = 0.  "untested" when the grid has no
     equilibrium of the branch's crossing direction next to b_star, or a
     model error stops the probe.
     """
@@ -228,7 +243,7 @@ def stability_probe(params, steady: SteadyState) -> str:
             if B is None:
                 return "untested"
         s, _, r = scheme.equilibrium(B)
-        return "stable" if scheme.unstable_count(B, s, r) == 0 else "unstable"
+        return "unstable" if scheme.unstable(B, s, r) else "stable"
     except ModelError:
         return "untested"
 

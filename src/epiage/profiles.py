@@ -39,11 +39,12 @@ class AgeProfile:
         object.__setattr__(self, "values", values)
         # one segment per knot, plus a leading one from age 0: its start,
         # the exact integral up to it, its value there and half its slope
-        # (zero before the first knot and past the last one).  A slope
-        # across a subnormal gap can overflow; capped, it gives 0 at da = 0.
-        seg = 0.5 * (values[1:] + values[:-1]) * np.diff(ages)
-        cum = ages[0] * values[0] + np.concatenate([[0.0], np.cumsum(seg)])
+        # (zero before the first knot and past the last one).  An integral
+        # past the largest double is inf, the right limit.  A slope across a
+        # subnormal gap can overflow; capped, it gives 0 at da = 0.
         with np.errstate(over="ignore"):
+            seg = 0.5 * (values[1:] + values[:-1]) * np.diff(ages)
+            cum = ages[0] * values[0] + np.concatenate([[0.0], np.cumsum(seg)])
             half_slopes = np.nan_to_num(0.5 * (np.diff(values) / np.diff(ages)))
         segments = (
             np.concatenate([[0.0], ages]),

@@ -121,14 +121,25 @@ def _adapted(data: _LotkaData, grid, rtol: float, integrand):
 
 
 def euler_lotka(lam: float, params, kernel: DemographicKernel, rtol: float = 1e-8):
-    """G(lam) for finite lam; returns +inf when the growing integrand overflows."""
+    """G(lam) for finite lam; returns +inf when the growing integrand overflows.
+
+    For lam > -e, with e = min(phi + gamma), W' <= max beta - (lam + e) W
+    and the density sums to 1, so G(lam) <= max beta / (lam + e).  A value
+    above that bound by more than a factor 1 + rtol, which the sweep gives
+    on the drinking rates for lam of about 1e10 and more, where psi loses
+    the exit pressure's digits, raises ``NumericsError``.
+    """
     if not math.isfinite(lam):
         raise DomainError("lam must be finite")
     _check_tolerance(rtol, "rtol")  # before the sweep of the overflow check
     data = _LotkaData.below(params, kernel)
     if math.isinf(data.g_value(lam)):
         return math.inf
-    return _adapted(data, data.kernel.grid, rtol, lambda level: level.integrand(lam))[0]
+    value = _adapted(data, data.kernel.grid, rtol, lambda level: level.integrand(lam))[0]
+    floor = lam + data.params.exit_pressure().min_value()
+    if floor > 0.0 and value > (1.0 + rtol) * data.params.beta.max_value() / floor:
+        raise NumericsError(f"G({lam!r}) = {value!r} exceeds its bound max beta / (lam + e)")
+    return value
 
 
 def r0(params, kernel: DemographicKernel, rtol: float = 1e-8) -> float:

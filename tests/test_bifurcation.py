@@ -227,10 +227,32 @@ class TestStabilityProbe:
         assert tag == "stable"
         assert peak <= 1.5e6
 
+    def test_points_of_f_per_branch(self, monkeypatch):
+        """At beta 45, f(1) < 0 decides the lower branch from one batch of
+        f; the upper one takes the 9 initial points and no refinement."""
+        import epiage.bifurcation as bifurcation
+
+        points = []
+        characteristic = bifurcation._UpwindScheme.characteristic
+
+        def counted(self, theta, B, s, r):
+            points.append(np.size(theta))
+            return characteristic(self, theta, B, s, r)
+
+        monkeypatch.setattr(bifurcation._UpwindScheme, "characteristic", counted)
+        rates = drinking_rates(45.0)
+        lower, upper = closed_form_states(rates)
+        assert stability_probe(rates, lower) == "unstable"
+        assert points == [bifurcation._CIRCLE_BATCH] == [2]
+        points.clear()
+        assert stability_probe(rates, upper) == "stable"
+        assert sum(points) == bifurcation._CIRCLE_POINTS == 9
+
     def test_count_matches_dense_step_map(self, monkeypatch):
-        """f(z) = det(zI - J) / det(zI - A), and the count is that of the
-        eigenvalues of J outside the unit disk, with J the Jacobian of the
-        transport step on a 30-cell grid and A the same at frozen pressure."""
+        """f(z) = det(zI - J) / det(zI - A), and the probe calls J unstable
+        where it has an eigenvalue outside the unit disk, with J the Jacobian
+        of the transport step on a 30-cell grid and A the same at frozen
+        pressure."""
         import epiage.bifurcation as bifurcation
         from epiage.transport import _step
 
@@ -270,7 +292,9 @@ class TestStabilityProbe:
             expected = [ratio(z, J, A) for z in np.exp(1j * theta)]
             np.testing.assert_allclose(f, expected, rtol=1e-7)
             outside = int(np.sum(np.abs(np.linalg.eigvals(J)) > 1.0))
-            assert scheme.unstable_count(B, s, r) == outside
+            assert scheme.unstable(B, s, r) == (outside > 0)
+            # theta[0] = 0: f(1) < 0 exactly where J has an eigenvalue outside
+            assert (f[0].real < 0.0) == (outside == 1)
             assert outside == (1 if c_scale > 1.0 else 0)
 
 

@@ -160,6 +160,14 @@ def test_cumulative_finite_at_a_knot_after_a_subnormal_gap():
     assert p.cumulative(1.0) == pytest.approx(1e-310, rel=1e-9, abs=0.0)
 
 
+def test_segment_integral_past_the_largest_double():
+    # 0.5 * 1.7e308 * 1.7e308 overflows to inf, the integral's right limit;
+    # it warned, so under error::RuntimeWarning building the profile raised
+    p = as_profile([(0.0, 1.7e308), (1.7e308, 0.0)])
+    assert p.cumulative(1.0) == 1.7e308
+    assert p.cumulative(np.nextafter(1.7e308, np.inf)) == np.inf
+
+
 def test_value_finite_inside_a_subnormal_gap():
     # the slope -3 / 2.2e-309 overflows, so interp gave -inf at 1e-309,
     # which the graded grid, keeping every knot as a block edge, evaluates

@@ -112,6 +112,25 @@ class TestEulerLotka:
     def test_overflow_sentinel(self, rates_bistable, kernel_bistable):
         assert euler_lotka(-1000.0, rates_bistable, kernel_bistable) == np.inf
 
+    @pytest.mark.parametrize("lam", [1e10, 1e12, 1e20, 1e300])
+    def test_value_above_its_bound_raises(self, rates_bistable, kernel_bistable, lam):
+        # G <= max beta / (lam + min(phi + gamma)); the sweep gives 0.99993
+        # against 6e-19 at lam = 1e20, and 5.3e-6 too much at 1e10
+        with pytest.raises(NumericsError, match="exceeds its bound"):
+            euler_lotka(lam, rates_bistable, kernel_bistable)
+
+    @pytest.mark.parametrize(
+        "agedep, lam",
+        [(False, lam) for lam in (0.0, 1.0, 1e3, 1e6, 1e8)]
+        + [(True, lam) for lam in (0.0, 1.0, 1e3, 1e6)],
+    )
+    def test_value_within_its_bound(self, rates_bistable, kernel_bistable, agedep, lam):
+        params = ParameterSet(**AGE_DEPENDENT_RATES) if agedep else rates_bistable
+        kernel = analysis_kernel(params) if agedep else kernel_bistable
+        params = as_parameter_set(params)
+        bound = params.beta.max_value() / (lam + params.exit_pressure().min_value())
+        assert 0.0 < euler_lotka(lam, params, kernel) <= bound
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     def test_non_finite_lam_rejected_before_any_sweep(
         self, rates_bistable, kernel_bistable, monkeypatch, lam
