@@ -115,18 +115,20 @@ def propagate(q, psi):
     q:   (..., n-1) cell increments.
     psi: (..., n) cumulative decay exponent.
     Returns r at the nodes, shape (..., n).  May contain inf when the decay
-    exponent grows without bound (negative K); callers decide how to treat
-    non-finite output.
+    exponent grows without bound (negative K), and nan from a nan increment
+    on, as ``cell_sources`` gives where such growth overflows to inf * 0;
+    callers decide how to treat non-finite output.
     """
     q = np.asarray(q, dtype=float)
     psi_right = psi[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         any_neg = np.any(q < 0)
-        log_pos = np.where(q > 0, np.log(np.where(q > 0, q, 1.0)), -np.inf)
+        # a nan increment keeps its log, nan, rather than count as 0
+        log_pos = np.where(q <= 0, -np.inf, np.log(q))
         s_pos = np.logaddexp.accumulate(log_pos + psi_right, axis=-1)
         r_tail = np.exp(s_pos - psi[..., 1:])
         if any_neg:
-            log_neg = np.where(q < 0, np.log(np.where(q < 0, -q, 1.0)), -np.inf)
+            log_neg = np.where(q >= 0, -np.inf, np.log(-q))
             s_neg = np.logaddexp.accumulate(log_neg + psi_right, axis=-1)
             r_tail = r_tail - np.exp(s_neg - psi[..., 1:])
     zeros = np.zeros(q.shape[:-1] + (1,))

@@ -11,7 +11,12 @@ map, linearised there, has an eigenvalue outside the unit disk.  These
 are the zeros outside the disk of a characteristic function f, which is
 real on [1, infinity) and tends to 1 there: f(1) < 0 puts a real one
 above 1, and only where f(1) > 0 is the winding of f around the unit
-circle counted.
+circle counted.  At the scheme's equilibrium X(B) = step(X(B), B) under
+frozen pressure B, X'(B) = (I - A)^{-1} v, so f(1) = -E(B) - B E'(B)
+with E the scheme's excess: the walk that solves E(B) = 0 sees the sign
+of f(1) in the direction the excess crosses 0, and a branch where it
+rises is unstable with no sample of f.  The equilibrium itself is a
+linear recurrence along age, solved by a doubling scan.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _sweep
 from ._roots import crossings
 from .closed_forms import closed_form_profiles, fixed_points_exact, r0_rc_exact
 from .demography import analysis_kernel, stationary_mixing
@@ -45,8 +49,8 @@ _PROBE_TOL = 1e-10
 _WALK_STEP = 0.01
 _WALK_REACH = 20.0
 #: where f(1) > 0, f is sampled at this many points of the upper half
-#: circle, then between every two neighbours whose arg differs by more
-#: than pi/2
+#: circle, theta = 0 among them unless f(1) > 0 is known, then between
+#: every two neighbours whose arg differs by more than pi/2
 _CIRCLE_POINTS = 9
 #: circle points evaluated together, which bounds the probe's memory
 _CIRCLE_BATCH = 2
@@ -109,14 +113,16 @@ class _UpwindScheme:
         """log s and u = i/B of the scheme's steady state under frozen pressure B.
 
         It does not depend on dt: s_k = s_{k-1} / (1 + da beta_k B) and
-        u_k = (u_{k-1} + da (rho_k + (beta_k - rho_k) s_k)) / (1 + da (e_k
-        + rho_k B)) with e = phi + gamma, since s + i + r = 1 holds exactly.
+        u_k = keep_k (u_{k-1} + da (rho_k + (beta_k - rho_k) s_k)) with
+        keep_k = 1 / (1 + da (e_k + rho_k B)) in (0, 1] and e = phi +
+        gamma, since s + i + r = 1 holds exactly.  u is the doubling scan
+        of that linear recurrence.
         """
         da = self.da
         log_s = -np.cumsum(np.log1p(da * B * self.beta))
-        decay = np.log1p(da * (self.exit + B * self.rho))
-        q = da * (self.rho + (self.beta - self.rho) * np.exp(log_s)) * np.exp(-decay)
-        return log_s, _sweep.propagate(q, np.concatenate([[0.0], np.cumsum(decay)]))[1:]
+        keep = 1.0 / (1.0 + da * (self.exit + B * self.rho))
+        q = da * (self.rho + (self.beta - self.rho) * np.exp(log_s)) * keep
+        return log_s, _linear_recurrence(keep, q)
 
     def equilibrium(self, B: float):
         """(s, i, r) = (s, B u, (1 - s) - B u) of the scheme's steady state."""
@@ -145,7 +151,7 @@ class _UpwindScheme:
         y_r = _linear_recurrence(lam / den, -dt * (self.exit * y_s + self.rho * r) / den)
         return 1.0 + (y_s + y_r) @ self.c
 
-    def unstable(self, B: float, s, r) -> bool:
+    def unstable(self, B: float, s, r, f1_positive: bool = False) -> bool:
         """Whether J has an eigenvalue outside the unit disk.
 
         A's spectrum lies in [0, 1 - dt/da] under the positivity gate, and
@@ -155,7 +161,9 @@ class _UpwindScheme:
         ray, and the first batch of samples decides.  Otherwise the count
         is the winding number of f: as f(conj z) = conj f(z), the arg
         change of f over the upper half circle, from z = 1 to z = -1, is
-        half the total.
+        half the total.  With ``f1_positive`` the caller knows f(1) > 0,
+        so only its arg, 0, enters: 1 stands for it, and f is sampled
+        from the next point on.
         """
 
         def f(theta):
@@ -165,10 +173,13 @@ class _UpwindScheme:
             ])
 
         theta = np.linspace(0.0, math.pi, _CIRCLE_POINTS)
-        values = f(theta[:_CIRCLE_BATCH])
-        if values[0].real < 0.0:
-            return True
-        values = np.concatenate([values, f(theta[_CIRCLE_BATCH:])])
+        if f1_positive:
+            values = np.concatenate([[1.0], f(theta[1:])])
+        else:
+            values = f(theta[:_CIRCLE_BATCH])
+            if values[0].real < 0.0:
+                return True
+            values = np.concatenate([values, f(theta[_CIRCLE_BATCH:])])
         while True:
             if theta.size > _CIRCLE_MAX or not np.all(np.isfinite(values) & (values != 0.0)):
                 raise NumericsError("the characteristic function vanishes on the unit circle")
@@ -184,7 +195,8 @@ class _UpwindScheme:
 
 
 def _scheme_root(excess, b_star: float):
-    """The scheme's equilibrium next to b_star, or None.
+    """(B, rising): the scheme's equilibrium B next to b_star and whether
+    the excess rises through it, or None.
 
     The excess slope at b_star gives the branch's crossing direction.  The
     walk follows the excess from b_star towards zero in log steps that
@@ -193,11 +205,14 @@ def _scheme_root(excess, b_star: float):
     the walk's samples: its extremum split finds a close root pair the
     doubled step went over, and the root nearest b_star is the result.
     When there is none, the scheme has no root of that direction there
-    (the grid misses the fold) and the walk returns None.
+    (the grid misses the fold) and the walk returns None.  The walk starts
+    on the side of the excess at b_star and moves ``toward`` its zero, so
+    the excess rises through B exactly where side * toward < 0; where the
+    excess at b_star is 0, b_star is B and its direction is unknown, None.
     """
     e0 = excess(b_star)
     if e0 == 0.0:
-        return b_star
+        return b_star, None
     step = _WALK_STEP
     b1 = b_star * math.exp(step)
     e1 = excess(b1)
@@ -216,10 +231,12 @@ def _scheme_root(excess, b_star: float):
         e1 = excess(b1)
         samples.append((b1, e1))
     roots = crossings(excess, sorted(samples), _PROBE_TOL, "scheme equilibrium")
-    return min((b for b, _ in roots), key=lambda b: abs(b - b_star), default=None)
+    if not roots:
+        return None
+    return min((b for b, _ in roots), key=lambda b: abs(b - b_star)), side * toward < 0.0
 
 
-def stability_probe(params, steady: SteadyState) -> str:
+def stability_probe(params, steady: SteadyState, *, scheme=None) -> str:
     """Stability of a steady state under the upwind transport scheme.
 
     On the probe grid (ages 0-200 in 4000 cells, the automatic time step
@@ -227,23 +244,33 @@ def stability_probe(params, steady: SteadyState) -> str:
     is solved without time stepping, and the one-step map linearised
     there is "unstable" where it has an eigenvalue outside the unit disk,
     "stable" otherwise.  Its characteristic function f is real on
-    [1, infinity) and tends to 1, so f(1) < 0 decides "unstable" from two
-    samples; only where f(1) > 0 are the zeros outside the disk counted,
-    by the winding of f.  The infection-free state (b_star == 0) is
-    probed at B = 0, s = 1, r = 0.  "untested" when the grid has no
-    equilibrium of the branch's crossing direction next to b_star, or a
-    model error stops the probe.
+    [1, infinity) and tends to 1, and at the scheme's equilibrium X(B) =
+    step(X(B), B), X'(B) = (I - A)^{-1} v gives f(1) = -E(B) - B E'(B)
+    for the scheme's excess E.  So where the walk to B finds the excess
+    rising through it, f(1) < 0 and the state is "unstable" without any
+    sample of f; where it falls, f(1) > 0 and the zeros outside the disk
+    are counted by the winding of f.  f(1) is evaluated only where the
+    direction is unknown: the infection-free state (b_star == 0), probed
+    at B = 0, s = 1, r = 0, and an excess of exactly 0 at b_star.
+    "untested" when the grid has no equilibrium of the branch's crossing
+    direction next to b_star, or a model error stops the probe.
+    ``scheme`` is the ``_UpwindScheme`` of ``params``, built here when
+    None; a probed sweep builds one per row and probes every branch on it.
     """
     params = as_parameter_set(params)
     try:
-        scheme = _UpwindScheme(params)
-        B = 0.0
+        if scheme is None:
+            scheme = _UpwindScheme(params)
+        B, rising = 0.0, None
         if steady.b_star != 0.0:
-            B = _scheme_root(scheme.excess, steady.b_star)
-            if B is None:
+            root = _scheme_root(scheme.excess, steady.b_star)
+            if root is None:
                 return "untested"
+            B, rising = root
+        if rising:
+            return "unstable"
         s, _, r = scheme.equilibrium(B)
-        return "unstable" if scheme.unstable(B, s, r) else "stable"
+        return "unstable" if scheme.unstable(B, s, r, f1_positive=rising is False) else "stable"
     except ModelError:
         return "untested"
 
@@ -296,10 +323,15 @@ def _sweep_row(base, param, value, tol, probe):
                 f"{[g.b_star for g in general]} vs {roots}"
             )
 
-    branches = []
-    for state in states:
-        tag = "untested"
-        if probe and error is None:
-            tag = stability_probe(params, state)
-        branches.append(Branch(state.b_star, state.ages, state.i, tag))
-    return DiagramRow(value, float(r0_value), tuple(branches), error)
+    tags = ["untested"] * len(states)
+    if probe and error is None and states:
+        try:
+            scheme = _UpwindScheme(params)
+        except ModelError:
+            pass
+        else:
+            tags = [stability_probe(params, state, scheme=scheme) for state in states]
+    branches = tuple(
+        Branch(state.b_star, state.ages, state.i, tag) for state, tag in zip(states, tags)
+    )
+    return DiagramRow(value, float(r0_value), branches, error)

@@ -6,6 +6,7 @@ import pytest
 from epiage import (
     ConstantRates,
     GridSpec,
+    NumericsError,
     ParameterError,
     ParameterSet,
     SteadyState,
@@ -18,6 +19,7 @@ from epiage import (
     sweep,
 )
 from epiage.parameters import as_parameter_set
+from epiage.presets import AGE_DEPENDENT_RATES
 
 
 class TestSweep:
@@ -165,10 +167,12 @@ class TestStabilityProbe:
         rates = drinking_rates(18.2)
         lower, upper = closed_form_states(rates)
         scheme = bifurcation._UpwindScheme(as_parameter_set(rates))
-        B = bifurcation._scheme_root(scheme.excess, lower.b_star)
-        assert B is not None
+        root = bifurcation._scheme_root(scheme.excess, lower.b_star)
+        assert root is not None
+        B, rising = root
         assert B == pytest.approx(0.02216, rel=1e-3)
         assert scheme.excess(B * 0.999) < 0.0 < scheme.excess(B * 1.001)
+        assert rising is True
         assert stability_probe(rates, lower) == "unstable"
         assert stability_probe(rates, upper) == "stable"
 
@@ -215,6 +219,32 @@ class TestStabilityProbe:
         tags = [stability_probe(rates_bistable, state) for state in (zero, small, large)]
         assert tags == ["stable", "unstable", "stable"]
 
+    def test_one_scheme_per_probed_row(self, monkeypatch, rates_bistable):
+        """Every branch of a row is probed on the row's one scheme; a row
+        with no branch builds none."""
+        import epiage.bifurcation as bifurcation
+
+        built = []
+        init = bifurcation._UpwindScheme.__init__
+
+        def counted(self, params):
+            built.append(params.beta.values[0])
+            init(self, params)
+
+        monkeypatch.setattr(bifurcation._UpwindScheme, "__init__", counted)
+        rows = sweep(rates_bistable, "beta", [10.0, 45.0, 60.0], probe=True)
+        assert [len(row.branches) for row in rows] == [0, 2, 2]
+        assert [b.stability for b in rows[1].branches] == ["unstable", "stable"]
+        assert built == [45.0, 60.0]
+
+        def refuse(self, params):
+            raise NumericsError("no probe scheme")
+
+        monkeypatch.setattr(bifurcation._UpwindScheme, "__init__", refuse)
+        (row,) = sweep(rates_bistable, "beta", [45.0], probe=True)
+        assert row.error is None
+        assert [b.stability for b in row.branches] == ["untested", "untested"]
+
     def test_probe_memory_peak(self):
         rates = drinking_rates(45.0)
         _, upper = closed_form_states(rates)
@@ -228,8 +258,10 @@ class TestStabilityProbe:
         assert peak <= 1.5e6
 
     def test_points_of_f_per_branch(self, monkeypatch):
-        """At beta 45, f(1) < 0 decides the lower branch from one batch of
-        f; the upper one takes the 9 initial points and no refinement."""
+        """At beta 45 the walk finds the excess rising through the lower
+        branch, which decides it with no point of f; the upper one, where
+        the excess falls, takes the 8 initial points after theta = 0 and
+        no refinement."""
         import epiage.bifurcation as bifurcation
 
         points = []
@@ -243,10 +275,84 @@ class TestStabilityProbe:
         rates = drinking_rates(45.0)
         lower, upper = closed_form_states(rates)
         assert stability_probe(rates, lower) == "unstable"
-        assert points == [bifurcation._CIRCLE_BATCH] == [2]
-        points.clear()
+        assert points == []
         assert stability_probe(rates, upper) == "stable"
-        assert sum(points) == bifurcation._CIRCLE_POINTS == 9
+        assert points == [bifurcation._CIRCLE_BATCH] * 4 == [2] * 4
+        assert sum(points) == bifurcation._CIRCLE_POINTS - 1 == 8
+
+    @pytest.mark.parametrize("agedep", [False, True])
+    def test_f_at_one_is_minus_the_excess_slope(self, agedep):
+        """f(1) = -E(B) - B E'(B) for the scheme's excess E, at the
+        equilibrium of both branches, at beta 45 and on ``agedep``, and
+        away from it; E' by a central difference."""
+        import epiage.bifurcation as bifurcation
+
+        params = ParameterSet(**AGE_DEPENDENT_RATES) if agedep else drinking_rates(45.0)
+        states = find_fixed_points(params, analysis_kernel(params))
+        assert len(states) == 2
+        scheme = bifurcation._UpwindScheme(as_parameter_set(params))
+        for state, rising in zip(states, (True, False)):
+            B, direction = bifurcation._scheme_root(scheme.excess, state.b_star)
+            assert direction is rising
+            for pressure in (B, 1.3 * B):
+                s, _, r = scheme.equilibrium(pressure)
+                f1 = scheme.characteristic([0.0], pressure, s, r)[0]
+                h = 1e-5 * pressure
+                slope = (scheme.excess(pressure + h) - scheme.excess(pressure - h)) / (2.0 * h)
+                expected = -scheme.excess(pressure) - pressure * slope
+                assert f1.imag == 0.0
+                assert f1.real == pytest.approx(expected, rel=1e-5)
+                assert bool(f1.real < 0.0) is rising
+
+    def test_direction_rule_matches_the_sign_of_f_at_one(self):
+        """Over seeded constant-rate sets with rho in [78, 130] and R0 in
+        [0.45, 1.2], the excess rises through the scheme's equilibrium
+        exactly where a computed f(1) < 0, and where it falls the winding
+        count anchored at 1 gives that of the computed f(1)."""
+        import epiage.bifurcation as bifurcation
+
+        rng = np.random.default_rng(32)
+        compared = {True: 0, False: 0}
+        for _ in range(24):
+            # R0 = beta / (mu + phi + gamma)
+            rates = ConstantRates(
+                mu=0.0125, beta=rng.uniform(0.45, 1.2) * 73.0125,
+                phi=60.0, gamma=13.0, rho=rng.uniform(78.0, 130.0),
+            )
+            scheme = bifurcation._UpwindScheme(as_parameter_set(rates))
+            for b_star in fixed_points_exact(rates):
+                root = bifurcation._scheme_root(scheme.excess, b_star)
+                if root is None:
+                    continue
+                B, rising = root
+                s, _, r = scheme.equilibrium(B)
+                f1 = scheme.characteristic([0.0], B, s, r)[0].real
+                assert rising is bool(f1 < 0.0), (rates, b_star)
+                if not rising:
+                    anchored = scheme.unstable(B, s, r, f1_positive=True)
+                    assert anchored == scheme.unstable(B, s, r), (rates, b_star)
+                compared[rising] += 1
+        assert min(compared.values()) >= 5, compared
+
+    def test_linear_recurrence_of_the_equilibrium(self):
+        """u of the scheme's frozen-pressure equilibrium against the
+        sequential recurrence in long double, at beta 45."""
+        import epiage.bifurcation as bifurcation
+
+        scheme = bifurcation._UpwindScheme(as_parameter_set(drinking_rates(45.0)))
+        ld = np.longdouble
+        beta, exit_rate, rho = (np.asarray(x, dtype=ld) for x in (scheme.beta, scheme.exit, scheme.rho))
+        da = ld(scheme.da)
+        for B in (0.0, 0.0023, 0.045, 0.5):
+            _, u = scheme._log_s_and_u(B)
+            s = np.cumprod(1.0 / (1.0 + da * ld(B) * beta))
+            q = da * (rho + (beta - rho) * s)
+            keep = 1.0 / (1.0 + da * (exit_rate + ld(B) * rho))
+            expected, previous = np.empty_like(q), ld(0.0)
+            for k in range(q.size):
+                previous = (previous + q[k]) * keep[k]
+                expected[k] = previous
+            assert np.max(np.abs(u - expected) / expected) <= 4e-15, B
 
     def test_count_matches_dense_step_map(self, monkeypatch):
         """f(z) = det(zI - J) / det(zI - A), and the probe calls J unstable
@@ -300,25 +406,27 @@ class TestStabilityProbe:
 
 @pytest.mark.slow
 def test_simulate_agrees_with_the_count():
-    """+-5% about the scheme's own equilibrium at beta 45, run for 5 years on
-    the probe grid: the upper branch returns, the lower one leaves."""
+    """+-5% about the scheme's own equilibrium on the probe grid, at the
+    probe's time step: at beta 45, run for 5 years, and on ``agedep``, run
+    for 20, the upper branch returns and the lower one leaves."""
     import epiage.bifurcation as bifurcation
 
-    rates = drinking_rates(45.0)
-    scheme = bifurcation._UpwindScheme(as_parameter_set(rates))
     n_age = bifurcation._PROBE_AGE_STEPS
     age_max = bifurcation._PROBE_AGE_MAX
-    # the probe's own time step, for 5 years
-    grid = GridSpec(age_max, 5.0, n_age, 5 * round(1.0 / scheme.dt))
-    lower, upper = fixed_points_exact(rates)
-    for b_star, returns in ((lower, False), (upper, True)):
-        B = bifurcation._scheme_root(scheme.excess, b_star)
-        s, i, r = with_inflow_node(*scheme.equilibrium(B))
-        assert scheme.c @ i[1:] == pytest.approx(B, rel=1e-9)
-        for sign in (1.0, -1.0):
-            # the recovered pool absorbs the change in i
-            shifted = (s, (1.0 + sign * 0.05) * i, r - sign * 0.05 * i)
-            assert shifted[2].min() >= 0.0
-            end = simulate(rates, shifted, grid, store=grid.n_time).b_series[-1]
-            drift = abs(end / B - 1.0)
-            assert (drift <= 1e-3) if returns else (drift > 0.05)
+    agedep = ParameterSet(**AGE_DEPENDENT_RATES)
+    for rates, years in ((drinking_rates(45.0), 5), (agedep, 20)):
+        scheme = bifurcation._UpwindScheme(as_parameter_set(rates))
+        grid = GridSpec(age_max, float(years), n_age, years * round(1.0 / scheme.dt))
+        lower, upper = (state.b_star for state in find_fixed_points(rates, analysis_kernel(rates)))
+        for b_star, returns in ((lower, False), (upper, True)):
+            B, rising = bifurcation._scheme_root(scheme.excess, b_star)
+            assert rising is not returns
+            s, i, r = with_inflow_node(*scheme.equilibrium(B))
+            assert scheme.c @ i[1:] == pytest.approx(B, rel=1e-9)
+            for sign in (1.0, -1.0):
+                # the recovered pool absorbs the change in i
+                shifted = (s, (1.0 + sign * 0.05) * i, r - sign * 0.05 * i)
+                assert shifted[2].min() >= 0.0
+                end = simulate(rates, shifted, grid, store=grid.n_time).b_series[-1]
+                drift = abs(end / B - 1.0)
+                assert (drift <= 1e-3) if returns else (drift > 0.05)

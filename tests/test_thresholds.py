@@ -112,6 +112,13 @@ class TestEulerLotka:
     def test_overflow_sentinel(self, rates_bistable, kernel_bistable):
         assert euler_lotka(-1000.0, rates_bistable, kernel_bistable) == np.inf
 
+    @pytest.mark.parametrize("lam", [-74.0, -1e6, -1e8, -1e10, -1e100, -1e300])
+    def test_overflow_sentinel_for_every_lower_lam(self, rates_bistable, kernel_bistable, lam):
+        # G is nonincreasing and overflows from about lam = -74 on; the
+        # sweep's sources are inf * 0 = nan there from lam = -1e8, which
+        # must not read as a zero source
+        assert euler_lotka(lam, rates_bistable, kernel_bistable) == np.inf
+
     @pytest.mark.parametrize("lam", [1e10, 1e12, 1e20, 1e300])
     def test_value_above_its_bound_raises(self, rates_bistable, kernel_bistable, lam):
         # G <= max beta / (lam + min(phi + gamma)); the sweep gives 0.99993
