@@ -16,7 +16,8 @@ frozen pressure B, X'(B) = (I - A)^{-1} v, so f(1) = -E(B) - B E'(B)
 with E the scheme's excess: the walk that solves E(B) = 0 sees the sign
 of f(1) in the direction the excess crosses 0, and a branch where it
 rises is unstable with no sample of f.  The equilibrium itself is a
-linear recurrence along age, solved by a doubling scan.
+linear recurrence along age, solved by blocked prefix products, as are
+the two that give f.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ _CIRCLE_POINTS = 9
 _CIRCLE_BATCH = 2
 #: more circle points than this means f has a zero on or next to the circle
 _CIRCLE_MAX = 1025
+#: ``_linear_recurrence`` keeps every running product of its factors at
+#: or above this floor, in blocks of at most this many factors
+_PRODUCT_FLOOR = 2.0**-600
+_BLOCK_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -74,13 +79,60 @@ class DiagramRow:
     error: str | None = None
 
 
-def _linear_recurrence(a, b):
-    """y_k = a_k y_{k-1} + b_k from y_{-1} = 0 along the last axis.
+def _block_length(a) -> int:
+    """L of ``_linear_recurrence`` for the factors ``a``: the most factors
+    whose product stays at or above ``_PRODUCT_FLOOR`` given min |a|, and
+    at most ``_BLOCK_MAX``; 1 where a factor is 0 or nan."""
+    smallest = float(np.abs(a).min(initial=1.0))
+    if smallest == 1.0:
+        return _BLOCK_MAX
+    if smallest > 0.0:
+        return min(_BLOCK_MAX, int(math.log(_PRODUCT_FLOOR) / math.log(smallest)))
+    return 1
 
-    A doubling scan: log2(n) passes, each folding in the partial solution
-    from twice as far back.  For z on the unit circle every |a_k| <= 1,
-    so the running products only shrink.
+
+def _linear_recurrence(a, b):
+    """y_k = a_k y_{k-1} + b_k from y_{-1} = 0 along the last axis, for
+    factors with every |a_k| <= 1.
+
+    Blocked prefix products: in blocks of L factors, P = cumprod(a) and
+    y = P cumsum(b / P), the last block padded with a = 1 and b = 0.  A
+    doubling scan over the block ends chains each block's carry, and P
+    times it is added to every later block.  At or above the product
+    floor 2^-600, b / P stays finite for |b| < 2^400 and P never reaches
+    the subnormal range.  The cap of 256 factors bounds the rounding of
+    the prefix sum where |a_k| is 1 or next to it.  The probe's factors
+    are bounded below: keep_k = 1 / (1 + da (e_k + rho_k B)) of
+    ``_log_s_and_u`` is about 0.21 or more at beta 45, and lam / (z - d_k)
+    of ``characteristic`` is at least lam / 2, about 0.053, in modulus on
+    the unit circle, which gives L >= 141 there.
     """
+    n = b.shape[-1]
+    length = min(n, _block_length(a))
+    if length < 2:
+        return _doubling_scan(a, b)
+    blocks = -(-n // length)
+    lead = b.shape[:-1]
+    p = np.empty(lead + (blocks, length), dtype=a.dtype)
+    y = np.empty(p.shape, dtype=np.result_type(a, b))
+    flat_p, flat_y = p.reshape(lead + (-1,)), y.reshape(lead + (-1,))
+    flat_p[..., :n] = a
+    flat_p[..., n:] = 1.0
+    np.cumprod(p, axis=-1, out=p)
+    np.divide(b, flat_p[..., :n], out=flat_y[..., :n])
+    flat_y[..., n:] = 0.0
+    np.cumsum(y, axis=-1, out=y)
+    y *= p
+    carry = _doubling_scan(p[..., -1], y[..., -1])
+    later = p[..., 1:, :]
+    later *= carry[..., :-1, None]
+    y[..., 1:, :] += later
+    return flat_y[..., :n]
+
+
+def _doubling_scan(a, b):
+    """``_linear_recurrence`` in log2(n) passes, each folding in the
+    partial solution from twice as far back."""
     a, y = a.copy(), b.copy()
     d = 1
     while d < y.shape[-1]:
@@ -115,8 +167,9 @@ class _UpwindScheme:
         It does not depend on dt: s_k = s_{k-1} / (1 + da beta_k B) and
         u_k = keep_k (u_{k-1} + da (rho_k + (beta_k - rho_k) s_k)) with
         keep_k = 1 / (1 + da (e_k + rho_k B)) in (0, 1] and e = phi +
-        gamma, since s + i + r = 1 holds exactly.  u is the doubling scan
-        of that linear recurrence.
+        gamma, since s + i + r = 1 holds exactly.  u is that linear
+        recurrence; keep_k is about 0.21 or more at beta 45, so its blocks
+        take the cap of 256 cells.
         """
         da = self.da
         log_s = -np.cumsum(np.log1p(da * B * self.beta))

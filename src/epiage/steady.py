@@ -166,7 +166,14 @@ class _SteadyData:
             psi = psi + B * cum_rho
             decay = decay + B * rho_nodes
         if lam:  # only differences of the decay enter the sweep: lam stays out
-            psi = psi + lam * self.ages
+            with np.errstate(over="ignore"):
+                psi = psi + lam * self.ages
+            if math.isinf(psi[-1]):
+                if lam > 0.0:
+                    raise NumericsError(f"the sweep's decay exponent overflows at lam = {lam!r}")
+                # u overflows as well, which is G's +inf; a finite floor
+                # keeps the sweep's differences from inf - inf
+                psi = np.maximum(psi, -np.finfo(float).max)
         return _sweep.exp_sweep(self.ages, psi, g, decay)
 
     def profiles(self, B: float, u: np.ndarray):

@@ -127,7 +127,8 @@ def euler_lotka(lam: float, params, kernel: DemographicKernel, rtol: float = 1e-
     and the density sums to 1, so G(lam) <= max beta / (lam + e).  A value
     above that bound by more than a factor 1 + rtol, which the sweep gives
     on the drinking rates for lam of about 1e10 and more, where psi loses
-    the exit pressure's digits, raises ``NumericsError``.
+    the exit pressure's digits, raises ``NumericsError``; so does a lam
+    whose product with the oldest age overflows, about 1e306 and more.
     """
     if not math.isfinite(lam):
         raise DomainError("lam must be finite")

@@ -111,6 +111,16 @@ def closed_form_states(rates):
     ]
 
 
+def sequential_recurrence(a, b):
+    """y_k = a_k y_{k-1} + b_k from y_{-1} = 0, one k at a time in long double."""
+    a, b = (np.asarray(x, dtype=np.clongdouble) for x in (a, b))
+    y, previous = np.empty_like(b), np.zeros(b.shape[:-1], dtype=np.clongdouble)
+    for k in range(b.shape[-1]):
+        previous = a[..., k] * previous + b[..., k]
+        y[..., k] = previous
+    return y
+
+
 def with_inflow_node(s, i, r):
     """Interior-node rows of the probe scheme with the inflow node s = 1 prepended."""
     return tuple(np.concatenate([[edge], row]) for edge, row in zip((1.0, 0.0, 0.0), (s, i, r)))
@@ -354,54 +364,107 @@ class TestStabilityProbe:
                 expected[k] = previous
             assert np.max(np.abs(u - expected) / expected) <= 4e-15, B
 
+    @pytest.mark.parametrize(
+        "kind", ["keep B=0", "keep B=0.045", "keep B=0.5", "circle pi/8", "circle pi",
+                 "circle batch", "gate floor", "ones"],
+    )
+    def test_linear_recurrence_against_sequential(self, kind):
+        """The blocked recurrence against the sequential one in long double,
+        to 4e-15 relative, on n = 1, L - 1, L, L + 1 and 4000 factors, L
+        the block length: keep and q of ``_log_s_and_u`` at beta 45; the
+        s recurrence of ``characteristic`` at B = 0.045, one theta or two
+        at once, theta = pi giving the smallest |a|; every factor at the
+        gate's floor lam / (2 - lam), the modulus at theta = pi of a cell
+        with d = 1 - lam, where no rate acts; and every factor 1."""
+        import epiage.bifurcation as bifurcation
+
+        scheme = bifurcation._UpwindScheme(as_parameter_set(drinking_rates(45.0)))
+        n, lam = scheme.beta.size, scheme.dt / scheme.da
+        positive = np.random.default_rng(33).uniform(1.0, 2.0, n)
+        if kind.startswith("keep"):
+            B = float(kind.split("=")[1])
+            s = np.exp(-np.cumsum(np.log1p(scheme.da * B * scheme.beta)))
+            a = 1.0 / (1.0 + scheme.da * (scheme.exit + B * scheme.rho))
+            b = scheme.da * (scheme.rho + (scheme.beta - scheme.rho) * s) * a
+        elif kind.startswith("circle"):
+            B = 0.045
+            theta = {"pi/8": [np.pi / 8], "pi": [np.pi], "batch": [np.pi / 8, np.pi]}[kind.split()[1]]
+            den = np.exp(1j * np.array(theta))[:, None] - (1.0 - lam - scheme.dt * B * scheme.beta)
+            a = lam / den
+            b = -scheme.dt * scheme.beta * scheme.equilibrium(B)[0] / den
+        else:
+            a = np.full(n, -lam / (2.0 - lam) if kind == "gate floor" else 1.0)
+            b = positive
+        length = bifurcation._block_length(a)
+        assert 2 <= length < n
+        for size in sorted({1, length - 1, length, length + 1, n} & set(range(1, n + 1))):
+            y = bifurcation._linear_recurrence(a[..., :size], b[..., :size])
+            expected = sequential_recurrence(a[..., :size], b[..., :size])
+            assert y.shape == b[..., :size].shape
+            assert np.max(np.abs(y - expected) / np.abs(expected)) <= 4e-15, size
+
     def test_count_matches_dense_step_map(self, monkeypatch):
         """f(z) = det(zI - J) / det(zI - A), and the probe calls J unstable
         where it has an eigenvalue outside the unit disk, with J the Jacobian
         of the transport step on a 30-cell grid and A the same at frozen
-        pressure."""
-        import epiage.bifurcation as bifurcation
-        from epiage.transport import _step
+        pressure; 30 cells are one block of the recurrences."""
+        check_against_dense_step_map(monkeypatch, cells=30, blocks=1)
 
-        monkeypatch.setattr(bifurcation, "_PROBE_AGE_MAX", 1.5)
-        monkeypatch.setattr(bifurcation, "_PROBE_AGE_STEPS", 30)
-        scheme = bifurcation._UpwindScheme(as_parameter_set(drinking_rates(45.0)))
-        rates = (scheme.beta, scheme.exit, scheme.rho)
-        theta = np.array([0.0, 0.7, 2.0, np.pi])
+    def test_count_matches_dense_step_map_across_blocks(self, monkeypatch):
+        """The same on 400 cells, three blocks at theta = pi, so that the
+        carries between blocks enter f and the count."""
+        check_against_dense_step_map(monkeypatch, cells=400, blocks=3)
 
-        def step(x, pressure=None):
-            s, i, r = with_inflow_node(*np.split(x, 3))
-            if pressure is None:
-                pressure = scheme.c @ i[1:]
-            new = _step(np.array([s, i, r]), pressure, scheme.dt, scheme.da, *rates)
-            return np.concatenate([part[1:] for part in new])
 
-        def jacobian(g, x, h=1e-6):
-            columns = [(g(x + h * e) - g(x - h * e)) / (2 * h) for e in np.eye(x.size)]
-            return np.column_stack(columns)
+def check_against_dense_step_map(monkeypatch, cells, blocks):
+    """f against det(zI - J) / det(zI - A) and the probe's verdict against
+    the eigenvalues of J, on ``cells`` cells of 0.05 years, where the
+    recurrences of f at theta = pi take ``blocks`` blocks."""
+    import epiage.bifurcation as bifurcation
+    from epiage.transport import _step
 
-        def ratio(z, J, A):
-            (sign_j, log_j), (sign_a, log_a) = (
-                np.linalg.slogdet(z * np.eye(len(M)) - M) for M in (J, A)
-            )
-            return sign_j / sign_a * np.exp(log_j - log_a)
+    monkeypatch.setattr(bifurcation, "_PROBE_AGE_MAX", 0.05 * cells)
+    monkeypatch.setattr(bifurcation, "_PROBE_AGE_STEPS", cells)
+    scheme = bifurcation._UpwindScheme(as_parameter_set(drinking_rates(45.0)))
+    rates = (scheme.beta, scheme.exit, scheme.rho)
+    theta = np.array([0.0, 0.7, 2.0, np.pi])
+    lam = scheme.dt / scheme.da
+    assert -(-cells // bifurcation._block_length(lam / (2.0 - lam))) == blocks
 
-        # an endemic state, and the infection-free one with a mixing weight
-        # large enough to push an eigenvalue of J out of the disk
-        for c_scale, frozen in ((1.0, 0.04), (10.0, 0.0)):
-            scheme.c = scheme.c * c_scale
-            s, i, r = scheme.equilibrium(frozen)
-            x = np.concatenate([s, i, r])
-            B = scheme.c @ i
-            J = jacobian(step, x)
-            A = jacobian(lambda y: step(y, B), x)
-            f = scheme.characteristic(theta, B, s, r)
-            expected = [ratio(z, J, A) for z in np.exp(1j * theta)]
-            np.testing.assert_allclose(f, expected, rtol=1e-7)
-            outside = int(np.sum(np.abs(np.linalg.eigvals(J)) > 1.0))
-            assert scheme.unstable(B, s, r) == (outside > 0)
-            # theta[0] = 0: f(1) < 0 exactly where J has an eigenvalue outside
-            assert (f[0].real < 0.0) == (outside == 1)
-            assert outside == (1 if c_scale > 1.0 else 0)
+    def step(x, pressure=None):
+        s, i, r = with_inflow_node(*np.split(x, 3))
+        if pressure is None:
+            pressure = scheme.c @ i[1:]
+        new = _step(np.array([s, i, r]), pressure, scheme.dt, scheme.da, *rates)
+        return np.concatenate([part[1:] for part in new])
+
+    def jacobian(g, x, h=1e-6):
+        columns = [(g(x + h * e) - g(x - h * e)) / (2 * h) for e in np.eye(x.size)]
+        return np.column_stack(columns)
+
+    def ratio(z, J, A):
+        (sign_j, log_j), (sign_a, log_a) = (
+            np.linalg.slogdet(z * np.eye(len(M)) - M) for M in (J, A)
+        )
+        return sign_j / sign_a * np.exp(log_j - log_a)
+
+    # an endemic state, and the infection-free one with a mixing weight
+    # large enough to push an eigenvalue of J out of the disk
+    for c_scale, frozen in ((1.0, 0.04), (10.0, 0.0)):
+        scheme.c = scheme.c * c_scale
+        s, i, r = scheme.equilibrium(frozen)
+        x = np.concatenate([s, i, r])
+        B = scheme.c @ i
+        J = jacobian(step, x)
+        A = jacobian(lambda y: step(y, B), x)
+        f = scheme.characteristic(theta, B, s, r)
+        expected = [ratio(z, J, A) for z in np.exp(1j * theta)]
+        np.testing.assert_allclose(f, expected, rtol=1e-7)
+        outside = int(np.sum(np.abs(np.linalg.eigvals(J)) > 1.0))
+        assert scheme.unstable(B, s, r) == (outside > 0)
+        # theta[0] = 0: f(1) < 0 exactly where J has an eigenvalue outside
+        assert (f[0].real < 0.0) == (outside == 1)
+        assert outside == (1 if c_scale > 1.0 else 0)
 
 
 @pytest.mark.slow

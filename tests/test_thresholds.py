@@ -112,7 +112,7 @@ class TestEulerLotka:
     def test_overflow_sentinel(self, rates_bistable, kernel_bistable):
         assert euler_lotka(-1000.0, rates_bistable, kernel_bistable) == np.inf
 
-    @pytest.mark.parametrize("lam", [-74.0, -1e6, -1e8, -1e10, -1e100, -1e300])
+    @pytest.mark.parametrize("lam", [-74.0, -1e6, -1e8, -1e10, -1e100, -1e300, -1.7e308])
     def test_overflow_sentinel_for_every_lower_lam(self, rates_bistable, kernel_bistable, lam):
         # G is nonincreasing and overflows from about lam = -74 on; the
         # sweep's sources are inf * 0 = nan there from lam = -1e8, which
@@ -124,6 +124,13 @@ class TestEulerLotka:
         # G <= max beta / (lam + min(phi + gamma)); the sweep gives 0.99993
         # against 6e-19 at lam = 1e20, and 5.3e-6 too much at 1e10
         with pytest.raises(NumericsError, match="exceeds its bound"):
+            euler_lotka(lam, rates_bistable, kernel_bistable)
+
+    @pytest.mark.parametrize("lam", [1e306, 1e307, 1.7e308])
+    def test_overflowing_exponent_raises(self, rates_bistable, kernel_bistable, lam):
+        # lam times the oldest age overflows the sweep's decay exponent,
+        # where G is about 6e-305 at most: not the +inf of a lower lam
+        with pytest.raises(NumericsError, match="overflows"):
             euler_lotka(lam, rates_bistable, kernel_bistable)
 
     @pytest.mark.parametrize(
