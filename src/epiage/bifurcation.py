@@ -15,9 +15,11 @@ circle counted.  At the scheme's equilibrium X(B) = step(X(B), B) under
 frozen pressure B, X'(B) = (I - A)^{-1} v, so f(1) = -E(B) - B E'(B)
 with E the scheme's excess: the walk that solves E(B) = 0 sees the sign
 of f(1) in the direction the excess crosses 0, and a branch where it
-rises is unstable with no sample of f.  The equilibrium itself is a
-linear recurrence along age, solved by blocked prefix products, as are
-the two that give f.
+rises is unstable with no sample of f.  At the infection-free state
+f(1) = -E(0), so the sign of the excess at 0 decides there.  f is never
+sampled at 1; the winding count takes 1 for it.  The equilibrium itself
+is a linear recurrence along age, solved by blocked prefix products, as
+are the two that give f.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ _PROBE_TOL = 1e-10
 #: the walk from b* to the scheme's equilibrium: first and last log step
 _WALK_STEP = 0.01
 _WALK_REACH = 20.0
-#: where f(1) > 0, f is sampled at this many points of the upper half
-#: circle, theta = 0 among them unless f(1) > 0 is known, then between
-#: every two neighbours whose arg differs by more than pi/2
+#: where f(1) > 0, the upper half circle starts from this many points,
+#: theta = 0 among them with 1 standing for f(1), and f is sampled at the
+#: others, then between every two whose arg differs by more than pi/2
 _CIRCLE_POINTS = 9
 #: circle points evaluated together, which bounds the probe's memory
 _CIRCLE_BATCH = 2
@@ -204,19 +206,17 @@ class _UpwindScheme:
         y_r = _linear_recurrence(lam / den, -dt * (self.exit * y_s + self.rho * r) / den)
         return 1.0 + (y_s + y_r) @ self.c
 
-    def unstable(self, B: float, s, r, f1_positive: bool = False) -> bool:
-        """Whether J has an eigenvalue outside the unit disk.
+    def unstable(self, B: float, s, r) -> bool:
+        """Whether J has an eigenvalue outside the unit disk, given f(1) > 0.
 
         A's spectrum lies in [0, 1 - dt/da] under the positivity gate, and
         det(zI - J) = det(zI - A) f(z), so J has an eigenvalue z outside
-        the disk exactly where f(z) = 0.  On [1, infinity) f is real and
-        continuous and tends to 1, so f(1) < 0 puts an eigenvalue on that
-        ray, and the first batch of samples decides.  Otherwise the count
-        is the winding number of f: as f(conj z) = conj f(z), the arg
-        change of f over the upper half circle, from z = 1 to z = -1, is
-        half the total.  With ``f1_positive`` the caller knows f(1) > 0,
-        so only its arg, 0, enters: 1 stands for it, and f is sampled
-        from the next point on.
+        the disk exactly where f(z) = 0.  The caller knows f(1) > 0 from
+        the excess (f(1) < 0 puts an eigenvalue on [1, infinity) and needs
+        no count).  The count is the winding number of f: as f(conj z) =
+        conj f(z), the arg change of f over the upper half circle, from
+        z = 1 to z = -1, is half the total.  Only the arg of f(1), 0,
+        enters, so 1 stands for it and f is sampled from the next point on.
         """
 
         def f(theta):
@@ -226,13 +226,7 @@ class _UpwindScheme:
             ])
 
         theta = np.linspace(0.0, math.pi, _CIRCLE_POINTS)
-        if f1_positive:
-            values = np.concatenate([[1.0], f(theta[1:])])
-        else:
-            values = f(theta[:_CIRCLE_BATCH])
-            if values[0].real < 0.0:
-                return True
-            values = np.concatenate([values, f(theta[_CIRCLE_BATCH:])])
+        values = np.concatenate([[1.0], f(theta[1:])])
         while True:
             if theta.size > _CIRCLE_MAX or not np.all(np.isfinite(values) & (values != 0.0)):
                 raise NumericsError("the characteristic function vanishes on the unit circle")
@@ -260,12 +254,11 @@ def _scheme_root(excess, b_star: float):
     When there is none, the scheme has no root of that direction there
     (the grid misses the fold) and the walk returns None.  The walk starts
     on the side of the excess at b_star and moves ``toward`` its zero, so
-    the excess rises through B exactly where side * toward < 0; where the
-    excess at b_star is 0, b_star is B and its direction is unknown, None.
+    the excess rises through B exactly where side * toward < 0, with the
+    side of an excess of 0 (or -0.0) at b_star counted as positive: b_star
+    is then a root of the walk's samples.
     """
     e0 = excess(b_star)
-    if e0 == 0.0:
-        return b_star, None
     step = _WALK_STEP
     b1 = b_star * math.exp(step)
     e1 = excess(b1)
@@ -275,7 +268,7 @@ def _scheme_root(excess, b_star: float):
     if toward < 0.0:
         b1 = b_star * math.exp(-step)
         e1 = excess(b1)
-    side = math.copysign(1.0, e0)
+    side = 1.0 if e0 >= 0.0 else -1.0
     samples = [(b_star, e0), (b1, e1)]
     while 0.0 < side * e1 < side * e0 and b1 != 1.0 and step < _WALK_REACH:
         step *= 2.0
@@ -302,9 +295,10 @@ def stability_probe(params, steady: SteadyState, *, scheme=None) -> str:
     for the scheme's excess E.  So where the walk to B finds the excess
     rising through it, f(1) < 0 and the state is "unstable" without any
     sample of f; where it falls, f(1) > 0 and the zeros outside the disk
-    are counted by the winding of f.  f(1) is evaluated only where the
-    direction is unknown: the infection-free state (b_star == 0), probed
-    at B = 0, s = 1, r = 0, and an excess of exactly 0 at b_star.
+    are counted by the winding of f.  The infection-free state (b_star ==
+    0) is probed at B = 0, s = 1, r = 0, where f(1) = -E(0): "unstable"
+    where E(0) > 0, counted where E(0) < 0, and "untested" where E(0) is
+    exactly 0, an eigenvalue at z = 1.
     "untested" when the grid has no equilibrium of the branch's crossing
     direction next to b_star, or a model error stops the probe.
     ``scheme`` is the ``_UpwindScheme`` of ``params``, built here when
@@ -314,8 +308,12 @@ def stability_probe(params, steady: SteadyState, *, scheme=None) -> str:
     try:
         if scheme is None:
             scheme = _UpwindScheme(params)
-        B, rising = 0.0, None
-        if steady.b_star != 0.0:
+        if steady.b_star == 0.0:
+            e0 = scheme.excess(0.0)
+            if e0 == 0.0:
+                raise NumericsError("the infection-free state has an eigenvalue at z = 1")
+            B, rising = 0.0, e0 > 0.0
+        else:
             root = _scheme_root(scheme.excess, steady.b_star)
             if root is None:
                 return "untested"
@@ -323,7 +321,7 @@ def stability_probe(params, steady: SteadyState, *, scheme=None) -> str:
         if rising:
             return "unstable"
         s, _, r = scheme.equilibrium(B)
-        return "unstable" if scheme.unstable(B, s, r, f1_positive=rising is False) else "stable"
+        return "unstable" if scheme.unstable(B, s, r) else "stable"
     except ModelError:
         return "untested"
 

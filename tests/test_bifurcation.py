@@ -294,7 +294,7 @@ class TestStabilityProbe:
     def test_f_at_one_is_minus_the_excess_slope(self, agedep):
         """f(1) = -E(B) - B E'(B) for the scheme's excess E, at the
         equilibrium of both branches, at beta 45 and on ``agedep``, and
-        away from it; E' by a central difference."""
+        away from it; E' by a central difference.  At B = 0 it is -E(0)."""
         import epiage.bifurcation as bifurcation
 
         params = ParameterSet(**AGE_DEPENDENT_RATES) if agedep else drinking_rates(45.0)
@@ -313,12 +313,16 @@ class TestStabilityProbe:
                 assert f1.imag == 0.0
                 assert f1.real == pytest.approx(expected, rel=1e-5)
                 assert bool(f1.real < 0.0) is rising
+        # the infection-free state: f(1) = -E(0)
+        s, _, r = scheme.equilibrium(0.0)
+        f1 = scheme.characteristic([0.0], 0.0, s, r)[0]
+        assert f1.imag == 0.0
+        assert f1.real == pytest.approx(-scheme.excess(0.0), rel=0.0, abs=1e-11)
 
     def test_direction_rule_matches_the_sign_of_f_at_one(self):
         """Over seeded constant-rate sets with rho in [78, 130] and R0 in
         [0.45, 1.2], the excess rises through the scheme's equilibrium
-        exactly where a computed f(1) < 0, and where it falls the winding
-        count anchored at 1 gives that of the computed f(1)."""
+        exactly where a computed f(1) < 0."""
         import epiage.bifurcation as bifurcation
 
         rng = np.random.default_rng(32)
@@ -338,9 +342,6 @@ class TestStabilityProbe:
                 s, _, r = scheme.equilibrium(B)
                 f1 = scheme.characteristic([0.0], B, s, r)[0].real
                 assert rising is bool(f1 < 0.0), (rates, b_star)
-                if not rising:
-                    anchored = scheme.unstable(B, s, r, f1_positive=True)
-                    assert anchored == scheme.unstable(B, s, r), (rates, b_star)
                 compared[rising] += 1
         assert min(compared.values()) >= 5, compared
 
@@ -403,6 +404,52 @@ class TestStabilityProbe:
             assert y.shape == b[..., :size].shape
             assert np.max(np.abs(y - expected) / np.abs(expected)) <= 4e-15, size
 
+    @pytest.mark.parametrize(
+        "excess, expected",
+        [
+            (lambda b: (b - 0.5) * 2.0, (0.5, True)),
+            (lambda b: (0.5 - b) * 2.0, (0.5, False)),
+            (lambda b: (0.5 - b) * -2.0, (0.5, True)),
+            (lambda b: (b - 0.5) * -2.0, (0.5, False)),
+            (lambda b: 0.0, None),
+        ],
+        ids=["+0 rising", "+0 falling", "-0 rising", "-0 falling", "flat"],
+    )
+    def test_scheme_root_at_an_exact_zero(self, excess, expected):
+        """An excess of exactly +0.0 or -0.0 at b* = 0.5 gives b* and the
+        direction in which the excess crosses it; a flat one gives None."""
+        import epiage.bifurcation as bifurcation
+
+        assert excess(0.5) == 0.0
+        assert bifurcation._scheme_root(excess, 0.5) == expected
+
+    @pytest.mark.parametrize("cells", [30, 60])
+    def test_infection_free_tag_matches_dense_step_map(self, monkeypatch, cells):
+        """Over seeded constant-rate sets with R0 in [0.3, 2] and rho in
+        [0, 130], the infection-free state is "unstable" exactly where the
+        Jacobian of the transport step there has an eigenvalue outside the
+        unit disk, on ``cells`` cells of 0.05 years."""
+        import epiage.bifurcation as bifurcation
+
+        monkeypatch.setattr(bifurcation, "_PROBE_AGE_MAX", 0.05 * cells)
+        monkeypatch.setattr(bifurcation, "_PROBE_AGE_STEPS", cells)
+        zero = infection_free_state(np.linspace(0.0, 0.05 * cells, cells + 1))
+        rng = np.random.default_rng(37)
+        tags = {"unstable": 0, "stable": 0}
+        for _ in range(20):
+            # R0 = beta / (mu + phi + gamma)
+            rates = ConstantRates(
+                mu=0.0125, beta=rng.uniform(0.3, 2.0) * 73.0125,
+                phi=60.0, gamma=13.0, rho=rng.uniform(0.0, 130.0),
+            )
+            tag = stability_probe(rates, zero)
+            scheme = bifurcation._UpwindScheme(as_parameter_set(rates))
+            s, i, r = scheme.equilibrium(0.0)
+            J, _ = step_jacobians(scheme, s, i, r)
+            assert (tag == "unstable") == (eigenvalues_outside(J) > 0), rates
+            tags[tag] += 1
+        assert min(tags.values()) >= 3, tags
+
     def test_count_matches_dense_step_map(self, monkeypatch):
         """f(z) = det(zI - J) / det(zI - A), and the probe calls J unstable
         where it has an eigenvalue outside the unit disk, with J the Jacobian
@@ -416,20 +463,13 @@ class TestStabilityProbe:
         check_against_dense_step_map(monkeypatch, cells=400, blocks=3)
 
 
-def check_against_dense_step_map(monkeypatch, cells, blocks):
-    """f against det(zI - J) / det(zI - A) and the probe's verdict against
-    the eigenvalues of J, on ``cells`` cells of 0.05 years, where the
-    recurrences of f at theta = pi take ``blocks`` blocks."""
-    import epiage.bifurcation as bifurcation
+def step_jacobians(scheme, s, i, r):
+    """J, the Jacobian of one transport step about the interior nodes
+    (s, i, r) of ``scheme``, and A, the same at the frozen pressure
+    B = c^T i; central differences."""
     from epiage.transport import _step
 
-    monkeypatch.setattr(bifurcation, "_PROBE_AGE_MAX", 0.05 * cells)
-    monkeypatch.setattr(bifurcation, "_PROBE_AGE_STEPS", cells)
-    scheme = bifurcation._UpwindScheme(as_parameter_set(drinking_rates(45.0)))
     rates = (scheme.beta, scheme.exit, scheme.rho)
-    theta = np.array([0.0, 0.7, 2.0, np.pi])
-    lam = scheme.dt / scheme.da
-    assert -(-cells // bifurcation._block_length(lam / (2.0 - lam))) == blocks
 
     def step(x, pressure=None):
         s, i, r = with_inflow_node(*np.split(x, 3))
@@ -442,6 +482,29 @@ def check_against_dense_step_map(monkeypatch, cells, blocks):
         columns = [(g(x + h * e) - g(x - h * e)) / (2 * h) for e in np.eye(x.size)]
         return np.column_stack(columns)
 
+    x = np.concatenate([s, i, r])
+    B = scheme.c @ i
+    return jacobian(step, x), jacobian(lambda y: step(y, B), x)
+
+
+def eigenvalues_outside(J):
+    return int(np.sum(np.abs(np.linalg.eigvals(J)) > 1.0))
+
+
+def check_against_dense_step_map(monkeypatch, cells, blocks):
+    """f against det(zI - J) / det(zI - A) and the probe's verdict against
+    the eigenvalues of J, on ``cells`` cells of 0.05 years, where the
+    recurrences of f at theta = pi take ``blocks`` blocks."""
+    import epiage.bifurcation as bifurcation
+
+    monkeypatch.setattr(bifurcation, "_PROBE_AGE_MAX", 0.05 * cells)
+    monkeypatch.setattr(bifurcation, "_PROBE_AGE_STEPS", cells)
+    params = as_parameter_set(drinking_rates(45.0))
+    scheme = bifurcation._UpwindScheme(params)
+    theta = np.array([0.0, 0.7, 2.0, np.pi])
+    lam = scheme.dt / scheme.da
+    assert -(-cells // bifurcation._block_length(lam / (2.0 - lam))) == blocks
+
     def ratio(z, J, A):
         (sign_j, log_j), (sign_a, log_a) = (
             np.linalg.slogdet(z * np.eye(len(M)) - M) for M in (J, A)
@@ -453,18 +516,36 @@ def check_against_dense_step_map(monkeypatch, cells, blocks):
     for c_scale, frozen in ((1.0, 0.04), (10.0, 0.0)):
         scheme.c = scheme.c * c_scale
         s, i, r = scheme.equilibrium(frozen)
-        x = np.concatenate([s, i, r])
         B = scheme.c @ i
-        J = jacobian(step, x)
-        A = jacobian(lambda y: step(y, B), x)
+        J, A = step_jacobians(scheme, s, i, r)
         f = scheme.characteristic(theta, B, s, r)
         expected = [ratio(z, J, A) for z in np.exp(1j * theta)]
         np.testing.assert_allclose(f, expected, rtol=1e-7)
-        outside = int(np.sum(np.abs(np.linalg.eigvals(J)) > 1.0))
-        assert scheme.unstable(B, s, r) == (outside > 0)
+        outside = eigenvalues_outside(J)
         # theta[0] = 0: f(1) < 0 exactly where J has an eigenvalue outside
         assert (f[0].real < 0.0) == (outside == 1)
         assert outside == (1 if c_scale > 1.0 else 0)
+        if c_scale > 1.0:
+            # f(1) = -E(0) < 0: the probe decides from the excess at 0
+            zero = infection_free_state(np.linspace(0.0, 0.05 * cells, cells + 1))
+            assert stability_probe(params, zero, scheme=scheme) == "unstable"
+        else:
+            # f(1) > 0: the winding count
+            assert scheme.unstable(B, s, r) == (outside > 0)
+
+
+def test_the_library_never_prints(capfd, tmp_path, rates_extinction, kernel_extinction):
+    """A preset run, a probed sweep and a probe of the infection-free
+    state leave stdout and stderr empty, at the descriptors too, where a
+    forked writer would print."""
+    from epiage.presets import preset_config, run_config
+
+    run_config(preset_config("extinction"), tmp_path)
+    (row,) = sweep(drinking_rates(45.0), "beta", [45.0], probe=True)
+    assert [b.stability for b in row.branches] == ["unstable", "stable"]
+    zero = infection_free_state(kernel_extinction.ages)
+    assert stability_probe(rates_extinction, zero) == "stable"
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.slow
