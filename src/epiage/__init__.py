@@ -30,7 +30,6 @@ from .demography import (
 )
 from .errors import (
     ConfigError,
-    DegenerateParameterError,
     DomainError,
     ModelError,
     NumericsError,

@@ -1,14 +1,15 @@
 """Closed-form expressions for constant rates on the unbounded age domain.
 
 With every rate constant, the frozen-pressure steady system integrates
-explicitly into a sum of two exponentials, the stationary mixing density
-is mu * exp(-mu a), and the amplification factor becomes the rational
-function
-
-    (B + mu/rho) / ((B + mu/beta) (B + (mu+phi+gamma)/rho)),
-
-whose unit crossings solve a quadratic.  These forms serve as oracles for
-the general machinery and give the explicit backward-bifurcation test.
+explicitly into two exponentials, the stationary mixing density is
+mu exp(-mu a), and the amplification factor is the rational function
+beta (rho B + mu) / ((beta B + mu)(rho B + mu + phi + gamma)), whose
+denominator factors are each at least mu.  Its unit crossings are the
+roots of the cleared quadratic beta rho B^2 + (beta (mu+phi+gamma-rho) +
+mu rho) B + mu (mu+phi+gamma-beta), linear where beta rho = 0.  One
+formula each takes every constant-rate set, relapse-free ones included;
+they serve as oracles for the general machinery and give the explicit
+backward-bifurcation test.
 """
 
 from __future__ import annotations
@@ -18,52 +19,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameterError, DomainError
+from .errors import DomainError
 from .parameters import ConstantRates
-
-#: the general form divides by K, D and K D; where K or |D| is below this
-#: share of K + B beta, or below the floor (K D underflows), the expm1
-#: form is used instead
-_CONFLUENT_SHARE = 1e-3
-_CONFLUENT_FLOOR = 1e-100
 
 
 def closed_form_profiles(B: float, rates: ConstantRates, ages):
     """Steady (s, i, r) at the given ages for frozen pressure B.
 
-    With K = phi+gamma+B rho and D = K - B beta, the general form sums
-    s = exp(-B beta a) and exp(-K a) with weights in 1/K and 1/D.  Near
-    the confluent case D = 0, where the solution picks up an a*exp term,
-    and where K is small it would lose its digits; there r = (phi+gamma)
-    ((1 - exp(-K a))/K - (s - exp(-K a))/D) with both ratios from expm1,
-    and i = 1 - s - r.
+    With K = phi+gamma+B rho and D = K - B beta, s = exp(-B beta a),
+    F = (1 - exp(-K a))/K and G = (s - exp(-K a))/D,
+
+        i = B (rho F - (rho - beta) G),    r = (phi+gamma) (F - G).
+
+    G is the larger of the two exponentials times (1 - exp(-|D| a))/|D|,
+    and both ratios come from expm1, so no term grows where D or K
+    vanishes and i, r keep their digits at young ages.
     """
     if not 0.0 <= B < math.inf:
         raise DomainError("B must be finite and >= 0")
     a = np.asarray(ages, dtype=float)
     if not np.all(a >= 0):
         raise DomainError("ages must be >= 0")
-    if B == 0:
-        one = np.ones_like(a)
-        return one, np.zeros_like(a), np.zeros_like(a)
     pg = rates.exit_pressure
     K = pg + B * rates.rho
-    D = pg + B * (rates.rho - rates.beta)
+    D = K - B * rates.beta
     s = np.exp(-B * rates.beta * a)
-    decay = np.exp(-K * a)
-    if min(K, abs(D)) > max(_CONFLUENT_SHARE * (K + B * rates.beta), _CONFLUENT_FLOOR):
-        i = (
-            B * rates.rho / K
-            - (B * (rates.rho - rates.beta) / D) * s
-            - (B * rates.beta * pg / (K * D)) * decay
-        )
-        r = pg / K - (pg / D) * s + (B * rates.beta * pg / (K * D)) * decay
-        return s, i, r
-    # (s - decay) / D is the larger of the two exponentials times
-    # _fraction(|D|), so no term grows where D or K vanishes
-    larger = s if D > 0 else decay
-    r = pg * (_fraction(K, a) - larger * _fraction(abs(D), a))
-    return s, -np.expm1(-B * rates.beta * a) - r, r
+    F = _fraction(K, a)
+    G = (s if D > 0 else np.exp(-K * a)) * _fraction(abs(D), a)
+    return s, B * (rates.rho * F - (rates.rho - rates.beta) * G), pg * (F - G)
 
 
 def _fraction(x: float, a):
@@ -72,18 +55,11 @@ def _fraction(x: float, a):
 
 
 def amplification_exact(B: float, rates: ConstantRates) -> float:
-    """Rational amplification factor; requires beta > 0 and rho > 0."""
-    if rates.beta <= 0 or rates.rho <= 0:
-        raise DegenerateParameterError(
-            "rational amplification needs beta > 0 and rho > 0; "
-            "use the general machinery for degenerate rates"
-        )
+    """beta (rho B + mu) / ((beta B + mu) (rho B + mu + phi + gamma))."""
     if not 0.0 <= B < math.inf:
         raise DomainError("B must be finite and >= 0")
-    mu, pg = rates.mu, rates.exit_pressure
-    return (B + mu / rates.rho) / (
-        (B + mu / rates.beta) * (B + (mu + pg) / rates.rho)
-    )
+    mu, beta, rho, pg = rates.mu, rates.beta, rates.rho, rates.exit_pressure
+    return beta * (rho * B + mu) / ((beta * B + mu) * (rho * B + mu + pg))
 
 
 def r0_rc_exact(rates: ConstantRates):
@@ -92,28 +68,28 @@ def r0_rc_exact(rates: ConstantRates):
 
 
 def fixed_points_exact(rates: ConstantRates) -> list:
-    """Roots of the rational amplification = 1 inside the open unit interval.
+    """Roots in (0, 1) of the cleared quadratic a B^2 + b B + c = 0, where
+    amplification_exact(B) = 1.
 
-    The quadratic is solved in a cancellation-safe order: the larger
-    magnitude root from the formula, the other via the product of roots
-    (the bistable regimes have roots ~60x apart, so the naive formula
-    loses digits on the small one).
+    a = beta rho, b = beta (mu+phi+gamma-rho) + mu rho and
+    c = mu (mu+phi+gamma-beta).  With q = -(b + sign(b) sqrt(b^2 - 4ac))/2
+    the roots are c/q and q/a, which lose no digits to cancellation (the
+    bistable regimes have roots ~60x apart).  Where a = 0, c/q = -c/b is
+    the linear root and q/a is infinite or nan, which the filter drops.
     """
-    if rates.beta <= 0 or rates.rho <= 0:
-        raise DegenerateParameterError("quadratic form needs beta > 0 and rho > 0")
-    mu, pg = rates.mu, rates.exit_pressure
-    b = mu / rates.beta + (mu + pg) / rates.rho - 1.0
-    c = (mu / rates.rho) * ((mu + pg) / rates.beta - 1.0)
-    disc = b * b - 4.0 * c
+    mu, beta, rho = rates.mu, rates.beta, rates.rho
+    a = beta * rho
+    # fsum rounds mu+phi+gamma-rho and mu+phi+gamma-beta once each, so c
+    # keeps its digits next to R0 = 1
+    b = beta * math.fsum((mu, rates.phi, rates.gamma, -rho)) + mu * rho
+    c = mu * math.fsum((mu, rates.phi, rates.gamma, -beta))
+    disc = b * b - 4.0 * a * c
     if disc < 0:
         return []
-    sign = 1.0 if b >= 0 else -1.0
-    big = (-b - sign * math.sqrt(disc)) / 2.0
-    if big == 0.0:
-        candidates = [0.0, -b]
-    else:
-        candidates = [big, c / big]
-    return sorted(x for x in candidates if 0.0 < x < 1.0)
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.divide([c, q], [q, a])
+    return sorted(float(x) for x in roots if 0.0 < x < 1.0)
 
 
 @dataclass(frozen=True)
@@ -150,12 +126,7 @@ def bifurcation_region(rates: ConstantRates) -> RegionReport:
     )
     if r0_value > 1.0:
         region = 3
-    elif (
-        r0_value < 1.0
-        and rates.beta > 0.0
-        and rates.rho > 0.0
-        and len(fixed_points_exact(rates)) == 2
-    ):
+    elif r0_value < 1.0 and len(fixed_points_exact(rates)) == 2:
         region = 2
     else:
         region = 1

@@ -13,11 +13,6 @@ class ParameterError(ModelError, ValueError):
     """A parameter set violates a structural requirement (e.g. mu <= 0)."""
 
 
-class DegenerateParameterError(ParameterError):
-    """Closed-form expression undefined for these parameters; use the
-    general machinery instead."""
-
-
 class ShapeError(ModelError, ValueError):
     """Array arguments do not share the expected shape."""
 

@@ -55,10 +55,11 @@ class ParameterSet:
     def constant_rates(self) -> "ConstantRates | None":
         """The closed-form rates when every profile is constant, else None.
 
-        This is the one test of whether the closed forms apply.  A constant
-        contact rate cancels from the mixing density and the birth rate
-        from the fractions, so neither enters the result; rates that
-        ``ConstantRates`` rejects also give None.
+        This is the one test of whether the closed forms apply: they hold
+        for every ``ConstantRates``, without relapse or transmission too.
+        A constant contact rate cancels from the mixing density and the
+        birth rate from the fractions, so neither enters the result; rates
+        that ``ConstantRates`` rejects also give None.
         """
         if not all(getattr(self, name).is_constant for name in RATE_NAMES):
             return None

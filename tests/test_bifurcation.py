@@ -49,6 +49,18 @@ class TestSweep:
                 b.b_star for b in closed.branches
             ]
 
+    @pytest.mark.parametrize("rho", [0.0, 1e-300])
+    def test_rows_without_relapse(self, rho):
+        """No relapse: a forward bifurcation, one stable branch above threshold."""
+        rates = ConstantRates(mu=0.0125, beta=60.0, phi=60.0, gamma=13.0, rho=rho)
+        rows = sweep(rates, "beta", [50.0, 100.0, 200.0], probe=True)
+        assert all(np.isfinite(row.r0) and row.error is None for row in rows)
+        assert [len(row.branches) for row in rows] == [0, 1, 1]
+        assert [b.stability for row in rows for b in row.branches] == ["stable"] * 2
+        # mu/(mu+phi+gamma) - mu/beta; no row error puts the general solver
+        # within 1e-8 of it
+        assert rows[1].branches[0].b_star == pytest.approx(4.6203561e-5, rel=1e-7)
+
     def test_below_backward_threshold_no_branches(self, rates_bistable):
         # beta = 10 sits below the two-root threshold (~16.8) with R0 < 1
         rows = sweep(rates_bistable, "beta", [10.0])

@@ -1,9 +1,11 @@
+from dataclasses import replace
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from epiage import (
     ConstantRates,
-    DegenerateParameterError,
     amplification_exact,
     bifurcation_region,
     closed_form_profiles,
@@ -89,12 +91,21 @@ class TestRationalAmplification:
                 1.0, rel=1e-2
             )
 
-    def test_degenerate_rates_rejected(self):
-        no_relapse = ConstantRates(mu=0.1, beta=1.0, phi=1.0, gamma=0.5, rho=0.0)
-        with pytest.raises(DegenerateParameterError):
-            amplification_exact(0.5, no_relapse)
-        with pytest.raises(DegenerateParameterError):
-            fixed_points_exact(no_relapse)
+    def test_rates_without_relapse(self):
+        # rho = 0: beta mu / ((beta B + mu)(mu+phi+gamma)), which crosses 1
+        # once, at mu/(mu+phi+gamma) - mu/beta, above threshold only
+        below = ConstantRates(mu=0.1, beta=1.0, phi=1.0, gamma=0.5, rho=0.0)
+        assert amplification_exact(0.5, below) == pytest.approx(
+            0.1 / ((0.5 + 0.1) * 1.6), rel=1e-15
+        )
+        assert fixed_points_exact(below) == []
+        above = ConstantRates(mu=0.1, beta=4.0, phi=1.0, gamma=0.5, rho=0.0)
+        assert amplification_exact(0.5, above) == pytest.approx(
+            4.0 * 0.1 / ((4.0 * 0.5 + 0.1) * 1.6), rel=1e-15
+        )
+        (root,) = fixed_points_exact(above)
+        assert root == pytest.approx(0.1 / 1.6 - 0.1 / 4.0, rel=1e-15)
+        assert amplification_exact(root, above) == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("B", [np.nan, np.inf, -np.inf, -0.1])
@@ -206,3 +217,96 @@ class TestBifurcationRegion:
                     actual = len(fixed_points_exact(rates)) == 2
                     mismatches += predicted != actual
         assert mismatches == 0
+
+
+#: rate edges that every closed form must take: no relapse, no
+#: transmission, and a relapse rate that overflows a division by it
+EDGES = ({}, {}, {"rho": 0.0}, {"beta": 0.0}, {"rho": 1e-300})
+
+
+def random_rates(rng):
+    rates = dict(
+        mu=10.0 ** rng.uniform(-2.5, 0.0),
+        beta=rng.uniform(0.0, 150.0),
+        phi=rng.uniform(0.0, 80.0),
+        gamma=rng.uniform(0.1, 20.0),
+        rho=rng.uniform(0.0, 150.0),
+    )
+    rates.update(EDGES[rng.integers(len(EDGES))])
+    return ConstantRates(**rates)
+
+
+def decimal_rates(rates):
+    """mu, beta, rho and phi+gamma as exact decimals of the float rates."""
+    exit_pressure = Decimal(rates.phi) + Decimal(rates.gamma)
+    return Decimal(rates.mu), Decimal(rates.beta), Decimal(rates.rho), exit_pressure
+
+
+def decimal_profiles(B, rates, ages):
+    """(s, i, r) from the explicit solution in 60-digit decimal arithmetic,
+    taking the limits a and a exp(-K a) where K or D is exactly 0."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        _, beta, rho, pg = decimal_rates(rates)
+        B = Decimal(B)
+        K = pg + B * rho
+        D = K - B * beta
+        rows = []
+        for a in map(Decimal, ages):
+            s, decay = (-B * beta * a).exp(), (-K * a).exp()
+            F = a if K == 0 else (1 - decay) / K
+            G = a * s if D == 0 else (s - decay) / D
+            rows.append((s, B * (rho * F - (rho - beta) * G), pg * (F - G)))
+    return np.array(rows, dtype=float).T
+
+
+def decimal_roots(rates):
+    """Roots in (0, 1) of the cleared quadratic in 60-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        mu, beta, rho, pg = decimal_rates(rates)
+        a = beta * rho
+        b = beta * (mu + pg - rho) + mu * rho
+        c = mu * (mu + pg - beta)
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        q = -(b + disc.sqrt().copy_sign(b)) / 2
+        roots = ([c / q] if q else []) + ([q / a] if a else [])
+    return sorted(float(x) for x in roots if 0 < x < 1)
+
+
+class TestDecimalReference:
+    def test_profiles(self, rng):
+        ages = np.concatenate(([0.0, 1e-6], np.linspace(0.01, 100.0, 59)))
+        for k in range(400):
+            rates = random_rates(rng)
+            B = 10.0 ** rng.uniform(-6.0, 0.0)
+            if k % 4 == 0:
+                B = 0.0
+            elif k % 4 == 1 and rates.beta > rates.rho:
+                B = rates.exit_pressure / (rates.beta - rates.rho)  # D = 0
+            got = np.array(closed_form_profiles(B, rates, ages))
+            assert np.abs(got - decimal_profiles(B, rates, ages)).max() <= 1e-15, (B, rates)
+            assert got.min() >= 0.0, (B, rates)
+
+    def test_roots(self, rng):
+        for _ in range(20000):
+            rates = random_rates(rng)
+            got, want = fixed_points_exact(rates), decimal_roots(rates)
+            assert len(got) == len(want), rates
+            assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * np.array(want)), rates
+
+    def test_relapse_within_transmission_has_no_backward_branch(self, rng):
+        # rho <= beta: at most one root, exactly one above threshold, so
+        # region 2 never shows; the constant-rate form of the result that
+        # lets steady._bisect take one crossing
+        for _ in range(5000):
+            rates = random_rates(rng)
+            if rates.rho > rates.beta:
+                rates = replace(rates, rho=rng.uniform(0.0, 1.0) * rates.beta)
+            report = bifurcation_region(rates)
+            if abs(report.r0 - 1.0) < 1e-6:
+                continue
+            assert len(fixed_points_exact(rates)) == (report.r0 > 1.0), rates
+            assert report.region != 2, rates
