@@ -333,8 +333,9 @@ def sweep(base, param: str, values, tol: float = 1e-10, probe: bool = False):
     is constant (``ParameterSet.constant_rates``), R0 and the roots come
     from the closed forms, and the general fixed-point solver must agree
     with the quadratic to 1e-8; otherwise the general solver gives them.
-    Failures are recorded on their row; the sweep always returns one row
-    per value.
+    A row that misses the cross-check keeps its closed-form branches and
+    the error, and ``probe`` tags them like any other row's.  Failures are
+    recorded on their row; the sweep always returns one row per value.
     """
     values = [float(v) for v in values]
     if any(v <= 0 for v in values):
@@ -375,7 +376,7 @@ def _sweep_row(base, param, value, tol, probe):
             )
 
     tags = ["untested"] * len(states)
-    if probe and error is None and states:
+    if probe and states:
         try:
             scheme = _UpwindScheme(params)
         except ModelError:

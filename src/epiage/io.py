@@ -2,9 +2,10 @@
 
 Every CSV artifact goes through one table writer: a header row, then one
 row per record, fields separated by commas and lines ended by CRLF.
-Numbers are serialized with 17 significant digits so that re-reading a
-file reproduces the in-memory doubles bit-exactly; branch indices are
-integers and stability tags plain words, so no field is ever quoted.
+Float columns are serialized with 17 significant digits so that re-reading
+a file reproduces the in-memory doubles bit-exactly (branch indices too:
+their digits are the integers'); object or bytes columns hold ready ASCII
+cells, such as stability words.  No field is ever quoted.
 Rows are written in blocks of ASCII ``bytes``, formatted, joined and
 written without a detour through ``str``.  Within a block the float
 columns are stacked, and each run of equal bits (so 0.0 and -0.0 stay
@@ -58,8 +59,6 @@ from .transport import StateField
 
 #: rows formatted per write call; bounds the temporary Python objects
 _BLOCK_ROWS = 8192
-#: the column kind of ready-formatted ``bytes`` cells
-_CELLS = "cells"
 
 
 def fmt(x: float) -> str:
@@ -67,14 +66,13 @@ def fmt(x: float) -> str:
 
 
 def _write_table(path, header, columns, stored=None) -> Path:
-    """Write ``header`` and the rows of equal-length ``(values, format)`` columns.
+    """Write ``header`` and the rows of equal-length ``columns``.
 
-    Each format is a printf conversion: ``%.17g`` for floats, ``%d`` for
-    integers, ``%s`` for words; or ``_CELLS`` for ``bytes`` cells formatted
-    beforehand.  In each block of ``_BLOCK_ROWS`` rows the ``%.17g``
-    columns are stacked, and each run of equal bits among them is
-    formatted once, by ``_g17.format17``; the bytes are those of
-    formatting every value with ``'%.17g' %``.
+    A column of object or bytes dtype holds ready ``bytes`` cells; any
+    other column is read as float64 and written as ``'%.17g' %`` would.
+    In each block of ``_BLOCK_ROWS`` rows the float columns are stacked,
+    and each run of equal bits among them is formatted once, by
+    ``_g17.format17``.
 
     ``stored`` is None when every row is present.  Otherwise it is the
     producer of the rows: an iterable that fills them in order as it runs
@@ -85,11 +83,8 @@ def _write_table(path, header, columns, stored=None) -> Path:
     own, or ``OSError`` naming the file if the front writer failed.
     """
     path = Path(path)
-    arrays = [
-        np.asarray(values, dtype=float) if spec == "%.17g" else np.asarray(values)
-        for values, spec in columns
-    ]
-    specs = [spec for _, spec in columns]
+    arrays = [np.asarray(column) for column in columns]
+    arrays = [a if a.dtype.kind in "OS" else a.astype(float, copy=False) for a in arrays]
     n_rows = len(arrays[0])
     if any(len(array) != n_rows for array in arrays):
         raise ShapeError(f"columns differ in length: {[len(a) for a in arrays]}")
@@ -103,9 +98,9 @@ def _write_table(path, header, columns, stored=None) -> Path:
             handle.write((",".join(header) + "\r\n").encode("ascii"))
             if alone:
                 _produce(stored, n_rows, lambda: None)
-                _write_rows(handle, arrays, specs, 0, n_rows)
+                _write_rows(handle, arrays, 0, n_rows)
             else:
-                _share_blocks(handle, arrays, specs, stored)
+                _share_blocks(handle, arrays, stored)
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -127,7 +122,7 @@ def _produce(stored, n_rows, publish) -> None:
         raise ShapeError(f"the producer filled {rows} of {n_rows} rows")
 
 
-def _share_blocks(handle, arrays, specs, stored) -> None:
+def _share_blocks(handle, arrays, stored) -> None:
     """Write the rows into ``handle``, after its header, with one forked
     front writer and this process at the back (see the module docstring)."""
     n_blocks = -(-len(arrays[0]) // _BLOCK_ROWS)
@@ -138,7 +133,7 @@ def _share_blocks(handle, arrays, specs, stored) -> None:
         open(write_end, "wb", 0) as ticket,
         tempfile.TemporaryFile() as spool,
     ):
-        pid = _fork(_write_front, handle, arrays, specs, tickets, ticket)
+        pid = _fork(_write_front, handle, arrays, tickets, ticket)
         places = []  # (offset, length) of each back block in the spool, last first
         try:
             with ticket:
@@ -147,7 +142,7 @@ def _share_blocks(handle, arrays, specs, stored) -> None:
             while tickets.read(1):
                 block -= 1
                 start, offset = block * _BLOCK_ROWS, spool.tell()
-                _write_rows(spool, arrays, specs, start, start + _BLOCK_ROWS)
+                _write_rows(spool, arrays, start, start + _BLOCK_ROWS)
                 places.append((offset, spool.tell() - offset))
         except BaseException:
             while tickets.read(1):
@@ -180,7 +175,7 @@ def _fork(work, *args) -> int:
     return pid
 
 
-def _write_front(handle, arrays, specs, tickets, ticket) -> None:
+def _write_front(handle, arrays, tickets, ticket) -> None:
     """Write the next block from the front into ``handle`` for each ticket
     read from ``tickets``, until the pipe ends.
 
@@ -190,22 +185,17 @@ def _write_front(handle, arrays, specs, tickets, ticket) -> None:
     ticket.close()
     start = 0
     while tickets.read(1):
-        _write_rows(handle, arrays, specs, start, start + _BLOCK_ROWS)
+        _write_rows(handle, arrays, start, start + _BLOCK_ROWS)
         start += _BLOCK_ROWS
     handle.flush()
 
 
-def _write_rows(handle, arrays, specs, start, stop) -> None:
+def _write_rows(handle, arrays, start, stop) -> None:
     """Write rows [start, stop) as ASCII, one ``_BLOCK_ROWS`` block at a time."""
-    floats = [j for j, spec in enumerate(specs) if spec == "%.17g"]
+    floats = [j for j, array in enumerate(arrays) if array.dtype == float]
     for block_start in range(start, stop, _BLOCK_ROWS):
         blocks = [array[block_start : block_start + _BLOCK_ROWS] for array in arrays]
-        cells = [
-            block.tolist() if spec == _CELLS
-            else None if spec == "%.17g"
-            else [(spec % value).encode("ascii") for value in block.tolist()]
-            for block, spec in zip(blocks, specs)
-        ]
+        cells = [None if block.dtype == float else block.tolist() for block in blocks]
         if floats:
             for j, column in zip(floats, _float_cells([blocks[j] for j in floats])):
                 cells[j] = column
@@ -240,7 +230,7 @@ def write_report(path, report: ThresholdReport) -> Path:
 
 
 def write_b_series(path, times, values) -> Path:
-    return _write_table(path, ["t", "B"], [(times, "%.17g"), (values, "%.17g")])
+    return _write_table(path, ["t", "B"], [times, values])
 
 
 def write_trajectory(path, field: StateField, stored=None) -> Path:
@@ -257,11 +247,11 @@ def write_trajectory(path, field: StateField, stored=None) -> Path:
         path,
         ["t", "a", "s", "i", "r"],
         [
-            (np.repeat(times, ages.size), _CELLS),
-            (np.tile(ages, times.size), _CELLS),
-            (np.ravel(field.s), "%.17g"),
-            (np.ravel(field.i), "%.17g"),
-            (np.ravel(field.r), "%.17g"),
+            np.repeat(times, ages.size),
+            np.tile(ages, times.size),
+            np.ravel(field.s),
+            np.ravel(field.i),
+            np.ravel(field.r),
         ],
         None if stored is None else (rows * ages.size for rows in stored),
     )
@@ -295,33 +285,22 @@ def read_trajectory(path) -> StateField:
 
 
 def write_initial(path, ages, s0, i0, r0) -> Path:
-    return _write_table(
-        path,
-        ["a", "s0", "i0", "r0"],
-        [(ages, "%.17g"), (s0, "%.17g"), (i0, "%.17g"), (r0, "%.17g")],
-    )
+    return _write_table(path, ["a", "s0", "i0", "r0"], [ages, s0, i0, r0])
 
 
 def write_steady_states(path, states) -> Path:
     """Long-format steady profiles; one block of rows per branch."""
     sizes = [state.ages.size for state in states]
-
-    def stacked(name):
-        return np.concatenate([np.empty(0)] + [getattr(state, name) for state in states])
-
-    return _write_table(
-        path,
-        ["branch", "b_star", "residual", "a", "s", "i", "r"],
-        [
-            (np.repeat(np.arange(len(states)), sizes), "%d"),
-            (np.repeat([state.b_star for state in states], sizes), "%.17g"),
-            (np.repeat([state.residual for state in states], sizes), "%.17g"),
-            (stacked("ages"), "%.17g"),
-            (stacked("s"), "%.17g"),
-            (stacked("i"), "%.17g"),
-            (stacked("r"), "%.17g"),
-        ],
-    )
+    columns = [
+        np.repeat(np.arange(len(states)), sizes),
+        np.repeat([state.b_star for state in states], sizes),
+        np.repeat([state.residual for state in states], sizes),
+    ]
+    columns += [
+        np.concatenate([np.empty(0)] + [getattr(state, name) for state in states])
+        for name in ("ages", "s", "i", "r")
+    ]
+    return _write_table(path, ["branch", "b_star", "residual", "a", "s", "i", "r"], columns)
 
 
 def write_diagram(path, rows, ages=None) -> Path:
@@ -343,11 +322,10 @@ def write_diagram(path, rows, ages=None) -> Path:
     header = ["swept_value", "r0", "branch_index", "b_star", "stability"]
     header += [f"i_star@{fmt(a)}" for a in sample_ages]
     columns = [
-        (np.repeat([row.swept_value for row in rows], counts), "%.17g"),
-        (np.repeat([row.r0 for row in rows], counts), "%.17g"),
-        ([index for count in counts for index in range(count)], "%d"),
-        ([branch.b_star for branch in branches], "%.17g"),
-        ([branch.stability for branch in branches], "%s"),
+        np.repeat([row.swept_value for row in rows], counts),
+        np.repeat([row.r0 for row in rows], counts),
+        [index for count in counts for index in range(count)],
+        [branch.b_star for branch in branches],
+        [branch.stability.encode("ascii") for branch in branches],
     ]
-    columns += [(profile, "%.17g") for profile in profiles.T]
-    return _write_table(path, header, columns)
+    return _write_table(path, header, columns + list(profiles.T))

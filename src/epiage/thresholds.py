@@ -32,7 +32,7 @@ import numpy as np
 
 from ._roots import bracketed_root
 from .demography import DemographicKernel, _kernel_on
-from .errors import DomainError, NumericsError, ToleranceError
+from .errors import DomainError, NumericsError, ParameterError, ToleranceError
 from .grids import adapt
 from .parameters import as_parameter_set
 from .steady import _check_tolerance, _SteadyData
@@ -171,7 +171,8 @@ def dominant_growth_rate(
     1e-9), 1e-12), which for smooth rates stops with the kernel's grid as
     the finer one.  The root stands once G on the finer grid is within
     tol - rtol of 1; else it is solved again there, from a step along the
-    secant through G(0) and the root.  ``ToleranceError`` (``best`` the last root) past
+    secant through G(0) and the root.  So tol must exceed 1e-12, else
+    ``ParameterError`` before any sweep.  ``ToleranceError`` (``best`` the last root) past
     the node budget, or for a root below -(mu + phi + gamma) at the last
     knot, where only the truncation of the age domain puts it.
     """
@@ -186,8 +187,16 @@ def _rc(data: _LotkaData, rtol: float = 1e-8) -> float:
     return _adapted(data, data.kernel.grid, rtol, lambda x: x.kernel.density * x.cum_beta)[0]
 
 
-def _growth_rate(data: _LotkaData, tol: float) -> float:
+def _check_growth_tolerance(tol: float) -> None:
+    """``ParameterError`` unless tol exceeds 1e-12: the root keeps tol - rtol
+    for itself, and the quadrature's rtol is at least 1e-12."""
     _check_tolerance(tol, "tol")
+    if tol <= 1e-12:
+        raise ParameterError("tol must exceed 1e-12, the growth rate's quadrature floor")
+
+
+def _growth_rate(data: _LotkaData, tol: float) -> float:
+    _check_growth_tolerance(tol)
     params = data.params
     if params.beta.max_value() <= 0:
         raise NumericsError("beta vanishes identically; G has no root")
@@ -257,7 +266,7 @@ def classify(params, kernel: DemographicKernel, tol: float = 1e-8) -> ThresholdR
     The three share the samples of every grid they visit, and R0's G(0)
     on the coarse grid below the kernel's ends the growth-rate bracket.
     """
-    _check_tolerance(tol, "tol")
+    _check_growth_tolerance(tol)
     data = _LotkaData.below(params, kernel)
     r0_value = _r0(data)
     rc_value = _rc(data)

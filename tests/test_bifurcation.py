@@ -61,6 +61,16 @@ class TestSweep:
         # within 1e-8 of it
         assert rows[1].branches[0].b_star == pytest.approx(4.6203561e-5, rel=1e-7)
 
+    def test_row_failing_the_cross_check_is_probed(self):
+        """At beta 20 and 25 the general solver misses the quadratic's roots
+        by more than 1e-8: the rows keep that error, and the probe still
+        tags their closed-form branches."""
+        rows = sweep(drinking_rates(20.0), "beta", [20.0, 25.0], probe=True)
+        assert all(row.error is not None for row in rows)
+        assert [[b.stability for b in row.branches] for row in rows] == [
+            ["unstable", "stable"]
+        ] * 2
+
     def test_below_backward_threshold_no_branches(self, rates_bistable):
         # beta = 10 sits below the two-root threshold (~16.8) with R0 < 1
         rows = sweep(rates_bistable, "beta", [10.0])

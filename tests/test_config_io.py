@@ -367,8 +367,19 @@ def naive_table(header, specs, columns):
     return (",".join(header) + "\r\n" + rows).encode()
 
 
+def table_columns(specs, columns):
+    """The table writer's columns for ``naive_table``'s: a ``%.17g`` column
+    as floats, any other as its cells formatted beforehand."""
+    return [
+        np.asarray(values, dtype=float) if spec == "%.17g"
+        else np.array([(spec % value).encode() for value in values], dtype=object)
+        for spec, values in zip(specs, columns)
+    ]
+
+
 def test_block_boundary_bytes(tmp_path):
-    """Repeats, signed zeros and list inputs across a block boundary."""
+    """Repeats, signed zeros and list inputs across a block boundary, and
+    branch indices of two digits."""
     n = _BLOCK_ROWS + 3
     times = list(range(n))  # integer-valued list input
     values = np.linspace(-1.0, 1.0, n)
@@ -381,9 +392,9 @@ def test_block_boundary_bytes(tmp_path):
     )
 
     ages = np.array([0.0, -0.0, 1.0 / 3.0])
-    ages = np.resize(ages, _BLOCK_ROWS // 2 + 3)
+    ages = np.resize(ages, _BLOCK_ROWS // 12 + 3)
     states = [
-        SteadyState(b, ages, ages, -ages, ages, -0.0) for b in (1.0 / 3.0, 0.5)
+        SteadyState(b, ages, ages, -ages, ages, -0.0) for b in np.linspace(1.0 / 3.0, 0.5, 12)
     ]
     path = write_steady_states(tmp_path / "steady.csv", states)
     rows = [
@@ -405,10 +416,10 @@ def test_block_boundary_bytes(tmp_path):
             1.0 / 3.0,
             tuple(
                 Branch(0.25 * k, branch_ages, np.array([0.0, value]), tags[(value + k) % 3])
-                for k in range(2)
+                for k in range(12)
             ),
         )
-        for value in range(_BLOCK_ROWS // 2 + 3)
+        for value in range(_BLOCK_ROWS // 12 + 3)
     ]
     path = write_diagram(tmp_path / "diagram.csv", diagram)
     rows = [
@@ -446,7 +457,7 @@ def test_runs_across_columns_and_blocks(tmp_path_factory, columns, block_rows):
     header, specs = [f"x{j}" for j in range(len(columns))], ["%.17g"] * len(columns)
     path = tmp_path_factory.mktemp("runs") / "table.csv"
     with mock.patch("epiage.io._BLOCK_ROWS", block_rows):
-        io._write_table(path, header, list(zip(columns, specs)))
+        io._write_table(path, header, table_columns(specs, columns))
     assert path.read_bytes() == naive_table(header, specs, columns)
 
 
@@ -505,7 +516,7 @@ def test_shared_table_bytes(tmp_path, monkeypatch, pinned):
     try:
         if pinned:
             os.sched_setaffinity(0, {min(mask)})
-        path = io._write_table(tmp_path / "table.csv", header, list(zip(columns, specs)))
+        path = io._write_table(tmp_path / "table.csv", header, table_columns(specs, columns))
     finally:
         os.sched_setaffinity(0, mask)
     assert len(forks) == (0 if pinned else 1)
@@ -528,7 +539,7 @@ def test_failed_writer_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_float_cells", child_fails)
     header, specs, columns = five_block_table()
     with pytest.raises(OSError, match="table.csv"):
-        io._write_table(tmp_path / "table.csv", header, list(zip(columns, specs)))
+        io._write_table(tmp_path / "table.csv", header, table_columns(specs, columns))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -582,7 +593,8 @@ def test_streamed_table_bytes(tmp_path_factory, data, columns, block_rows, pinne
     header, specs = [f"x{j}" for j in range(len(columns))], ["%.17g"] * len(columns)
     path = tmp_path_factory.mktemp("streamed") / "table.csv"
     with mock.patch("epiage.io._BLOCK_ROWS", block_rows):
-        on_cpus(pinned, lambda: io._write_table(path, header, list(zip(shared, specs)), produce))
+        shared = table_columns(specs, shared)
+        on_cpus(pinned, lambda: io._write_table(path, header, shared, produce))
     assert path.read_bytes() == naive_table(header, specs, columns)
 
 
@@ -652,7 +664,7 @@ def test_failed_producer_removes_the_table(tmp_path, monkeypatch, pinned):
         time.sleep(0.05)
         raise boom
 
-    path, columns = tmp_path / "table.csv", list(zip(columns, specs))
+    path, columns = tmp_path / "table.csv", table_columns(specs, columns)
     with pytest.raises(RuntimeError) as err, hang_fails():
         on_cpus(pinned, lambda: io._write_table(path, header, columns, producer()))
     assert err.value is boom
@@ -685,7 +697,7 @@ def test_killed_front_writer_raises(tmp_path, monkeypatch):
     producer = (min(rows, n_rows) for rows in steps)
     path = tmp_path / "table.csv"
     with pytest.raises(OSError, match="table.csv"), hang_fails():
-        io._write_table(path, header, list(zip(columns, specs)), producer)
+        io._write_table(path, header, table_columns(specs, columns), producer)
     assert not path.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -711,7 +723,7 @@ def slow(n_rows):
 
 os.fork = announce
 n_rows = 5 * io._BLOCK_ROWS
-io._write_table(sys.argv[1], ["x"], [([0.5] * n_rows, "%.17g")], slow(n_rows))
+io._write_table(sys.argv[1], ["x"], [[0.5] * n_rows], slow(n_rows))
 """
 
 

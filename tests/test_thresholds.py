@@ -297,6 +297,19 @@ class TestBadTolerance:
             solver(rates_bistable, kernel_bistable, tol=tol)
         assert count() == 0
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
+    @pytest.mark.parametrize("solver", [classify, dominant_growth_rate])
+    @pytest.mark.parametrize("regime", ["bistable", "endemic"])
+    def test_tol_at_the_quadrature_floor(self, request, monkeypatch, solver, regime, tol):
+        """G is adapted to no finer than 1e-12, which would leave a root
+        within tol no residual to meet: such a tol names the floor."""
+        rates = request.getfixturevalue(f"rates_{regime}")
+        kernel = request.getfixturevalue(f"kernel_{regime}")
+        count = level0_sweeps(monkeypatch, kernel)
+        with pytest.raises(ParameterError, match="1e-12"):
+            solver(rates, kernel, tol=tol)
+        assert count() == 0
+
     @pytest.mark.parametrize("rtol", [np.nan, np.inf, 0.0, -1e-8])
     @pytest.mark.parametrize(
         "value", [r0, rc, lambda *args, **kw: euler_lotka(0.5, *args, **kw)]
