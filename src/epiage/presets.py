@@ -6,7 +6,8 @@ directory:
 
     thresholds      report.txt          R0, RC, dominant growth rate, region
     simulation      initial.csv         the initial fractions on the age grid
-                    trajectory.csv      stored (t, a, s, i, r) rows
+                    trajectory.csv      stored (t, a, s, i, r) rows, about 64
+                                        time rows in a preset
                     b_series.csv        the pressure at every time node
     steady states   steady_states.csv   every endemic steady state
     sweep           diagram.csv         the bifurcation diagram of [sweep]
@@ -35,7 +36,7 @@ from .demography import analysis_kernel
 from .errors import ModelError, ParameterError
 from .grids import GridSpec
 from .parameters import ConstantRates, ParameterSet, as_parameter_set
-from .steady import find_fixed_points
+from .steady import _check_tolerance, find_fixed_points
 from .thresholds import classify
 from .transport import _march, auto_time_steps
 
@@ -59,8 +60,8 @@ def _config(rates, age_max, da, amplitude, center, width, time_max=10.0):
     params = as_parameter_set(rates)
     n_age = round(age_max / da)
     n_time = auto_time_steps(params, age_max, time_max, n_age)
-    # fine grids keep ~64 stored rows so trajectory files stay reviewable
-    stride = "auto" if n_age <= 400 else max(1, n_time // 64)
+    # ~64 stored rows so trajectory files stay reviewable
+    stride = max(1, n_time // 64)
     return RunConfig(
         params=params,
         grid=GridSpec(age_max, time_max, n_age, n_time),
@@ -162,6 +163,7 @@ def _diagram(run: _Run):
 
 def _run(config: RunConfig, out_dir, tol: float, phases) -> dict:
     """Run ``phases`` in order on one config; returns their ``written`` map."""
+    _check_tolerance(tol, "tol")  # before any phase writes a file
     run = _Run(config, out_dir, tol)
     for phase in phases:
         phase(run)

@@ -19,6 +19,7 @@ from epiage import (
     find_fixed_points,
     fixed_points_exact,
     infected_profile,
+    preset_config,
     r0,
     r0_rc_exact,
     recovered_profile,
@@ -200,8 +201,11 @@ def test_criterion_07_conservation_and_positivity(preset_runs):
 
 
 def test_criterion_08_extinction(preset_runs):
-    trajectory = preset_runs["extinction"]["_trajectory_object"]
-    final_sup = trajectory.field.i[-1].max()
+    final_sup = preset_runs["extinction"]["_trajectory_object"].field.i[-1].max()
+    # the preset keeps ~64 rows; monotonicity is checked at every time step
+    config = preset_config("extinction")
+    initial = config.initial.rows(config.grid.age_nodes())
+    trajectory = simulate(config.params, initial, config.grid, store=1)
     sup_series = trajectory.field.i.max(axis=1)
     skip = np.searchsorted(trajectory.field.times, 0.5)
     monotone = bool(np.all(np.diff(sup_series[skip:]) <= 1e-15))

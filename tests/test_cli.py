@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
+from epiage import PRESETS, preset_config, run_config, run_preset, simulate
 from epiage.bifurcation import sweep
 from epiage.cli import main
 from epiage.config import parse_config
 from epiage.io import read_trajectory, write_diagram
-from epiage.presets import run_config
 
 CONFIG = """
 [parameters]
@@ -97,6 +98,35 @@ def test_presets_are_deterministic(tmp_path):
     main(["preset", "extinction", "--out", str(out2)])
     for name in ("trajectory.csv", "b_series.csv", "report.txt", "steady_states.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_preset_keeps_about_64_time_rows(name, tmp_path):
+    config = preset_config(name)
+    grid = config.grid
+    assert config.stride == max(1, grid.n_time // 64)
+    written = run_preset(name, tmp_path)
+    times = written["_trajectory_object"].field.times
+    assert times.size <= 66
+    assert times[0] == 0.0 and times[-1] == grid.time_max
+    with open(written["trajectory"], "rb") as table:
+        assert sum(1 for _ in table) == 1 + times.size * (grid.n_age + 1)
+
+
+def test_thinned_preset_rows_are_the_full_runs_rows(tmp_path):
+    written = run_preset("extinction", tmp_path)
+    config = preset_config("extinction")
+    initial = config.initial.rows(config.grid.age_nodes())
+    full = simulate(config.params, initial, config.grid, store=1)
+    kept = np.searchsorted(full.field.times, written["_trajectory_object"].field.times)
+    stored = read_trajectory(written["trajectory"])
+    for name in ("times", "s", "i", "r"):
+        expected = getattr(full.field, name)[kept]
+        got = getattr(stored, name)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), name
+    lines = written["b_series"].read_text().splitlines()[1:]
+    b_series = np.array([float(line.split(",")[1]) for line in lines])
+    assert np.array_equal(b_series.view(np.uint64), full.b_series.view(np.uint64))
 
 
 def test_missing_config_is_clean_error(tmp_path, capsys):
@@ -200,3 +230,13 @@ def test_subcommand_matches_library_run(command, library_run, tmp_path, capsys):
         assert (out / name).read_bytes() == (reference / name).read_bytes(), name
     lines = capsys.readouterr().out.replace(str(out), "OUT").splitlines()
     assert lines == SUBCOMMAND_STDOUT[command]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", [*sorted(SUBCOMMAND_FILES), "preset"])
+def test_nonpositive_tol_writes_no_file(command, tol, config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    where = ["extinction"] if command == "preset" else ["--config", str(config_path)]
+    assert main([command, *where, "--out", str(out), "--tol", tol]) == 2
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
