@@ -13,9 +13,10 @@ Subcommands and the files each writes into the output directory::
     epiage preset NAME --out outdir [--tol T]
         report.txt initial.csv trajectory.csv b_series.csv steady_states.csv
 
-The files are written by the run phases of ``presets``; this module
-parses arguments, loads the config, chooses the output directory and
-prints a summary of what the phases computed.
+The files are written by the run phases of ``presets``, in this process;
+``trajectory.csv`` keeps every ``max(1, age_steps // 400)``-th age node
+and the last.  This module parses arguments, loads the config, chooses
+the output directory and prints a summary of what the phases computed.
 """
 
 from __future__ import annotations

@@ -15,38 +15,11 @@ are formatted once per table and repeated as ready cells.  The run heads
 get their digits from an exact product in numpy (``_g17.format17``); a
 value the product cannot decide falls back, alone, to ``b'%.17g' %``, and
 every byte is that of ``'%.17g' %``.
-
-A table's rows may be written while they are produced: the trajectory
-is written while ``transport._march`` simulates it, and its rows live in
-an anonymous shared mapping.  The calling process writes the header,
-opens a pipe of tickets and forks one front writer.  The producer runs in
-the calling process and writes one byte, a ticket, into the pipe for each
-block it completes; the last block is complete once every row is filled.
-For a table whose rows are all present every ticket is written at once.
-Reading a ticket is the claim: the front writer writes the next block
-from the front straight into the file for each ticket it reads.  Once the
-producer is done, the calling process closes its write end and, for each
-ticket it reads, writes the next block from the back into a temporary
-spool.  There is one ticket per block and each is read by one process, so
-front and back meet with no overlap and no gap, and nothing shared needs
-a lock.  A block's rows are read only after a ``read`` of a ticket that
-was written after they were stored.  Once the front writer is reaped, the
-back blocks are appended in order.  Both writers run the same per-block
-code, so the bytes do not depend on how the blocks were shared.  A pipe
-holds 64 KiB of tickets on Linux, so a table of more than 65,536 blocks
-(537 M rows) makes the producer wait on the front writer.  One process
-writes the whole table where ``os.fork`` or ``os.sched_getaffinity`` is
-missing, where one CPU is available, or where the table is one block.  On
-Python 3.12 and later a process running other OS threads (an OpenBLAS
-pool when ``OPENBLAS_NUM_THREADS`` is unset) gets CPython's fork
-``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -65,22 +38,14 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_table(path, header, columns, stored=None) -> Path:
+def _write_table(path, header, columns) -> Path:
     """Write ``header`` and the rows of equal-length ``columns``.
 
     A column of object or bytes dtype holds ready ``bytes`` cells; any
     other column is read as float64 and written as ``'%.17g' %`` would.
     In each block of ``_BLOCK_ROWS`` rows the float columns are stacked,
     and each run of equal bits among them is formatted once, by
-    ``_g17.format17``.
-
-    ``stored`` is None when every row is present.  Otherwise it is the
-    producer of the rows: an iterable that fills them in order as it runs
-    and yields how many it has filled, ending with all of them.
-
-    Blocks are shared between two processes (see the module docstring).
-    On any exception the file is removed; the exception is the producer's
-    own, or ``OSError`` naming the file if the front writer failed.
+    ``_g17.format17``.  On any exception the file is removed.
     """
     path = Path(path)
     arrays = [np.asarray(column) for column in columns]
@@ -88,112 +53,20 @@ def _write_table(path, header, columns, stored=None) -> Path:
     n_rows = len(arrays[0])
     if any(len(array) != n_rows for array in arrays):
         raise ShapeError(f"columns differ in length: {[len(a) for a in arrays]}")
-    alone = (
-        n_rows <= _BLOCK_ROWS
-        or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
-        or len(os.sched_getaffinity(0)) < 2
-    )
     try:
         with open(path, "wb") as handle:
             handle.write((",".join(header) + "\r\n").encode("ascii"))
-            if alone:
-                _produce(stored, n_rows, lambda: None)
-                _write_rows(handle, arrays, 0, n_rows)
-            else:
-                _share_blocks(handle, arrays, stored)
+            _write_rows(handle, arrays)
     except BaseException:
         path.unlink(missing_ok=True)
         raise
     return path
 
 
-def _produce(stored, n_rows, publish) -> None:
-    """Run the producer ``stored`` to its end, calling ``publish()`` once
-    for each block as it is completed; the last block is complete once
-    every row is filled."""
-    n_blocks = -(-n_rows // _BLOCK_ROWS)
-    rows = published = 0
-    for rows in (n_rows,) if stored is None else stored:
-        completed = n_blocks if rows >= n_rows else rows // _BLOCK_ROWS
-        while published < completed:
-            publish()
-            published += 1
-    if rows != n_rows:
-        raise ShapeError(f"the producer filled {rows} of {n_rows} rows")
-
-
-def _share_blocks(handle, arrays, stored) -> None:
-    """Write the rows into ``handle``, after its header, with one forked
-    front writer and this process at the back (see the module docstring)."""
-    n_blocks = -(-len(arrays[0]) // _BLOCK_ROWS)
-    handle.flush()
-    read_end, write_end = os.pipe()
-    with (
-        open(read_end, "rb", 0) as tickets,
-        open(write_end, "wb", 0) as ticket,
-        tempfile.TemporaryFile() as spool,
-    ):
-        pid = _fork(_write_front, handle, arrays, tickets, ticket)
-        places = []  # (offset, length) of each back block in the spool, last first
-        try:
-            with ticket:
-                _produce(stored, len(arrays[0]), lambda: ticket.write(b"."))
-            block = n_blocks
-            while tickets.read(1):
-                block -= 1
-                start, offset = block * _BLOCK_ROWS, spool.tell()
-                _write_rows(spool, arrays, start, start + _BLOCK_ROWS)
-                places.append((offset, spool.tell() - offset))
-        except BaseException:
-            while tickets.read(1):
-                pass  # the front writer stops at its next claim
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if status != 0:
-            raise OSError(f"writing {handle.name}: the forked front writer failed")
-        handle.seek(0, os.SEEK_END)
-        for offset, length in reversed(places):
-            spool.seek(offset)
-            handle.write(spool.read(length))
-
-
-def _fork(work, *args) -> int:
-    """Fork a child that runs ``work(*args)``; its pid.
-
-    The child never returns: it exits with status 0 once ``work`` returns,
-    and with 1 on any exception.
-    """
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            work(*args)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
-def _write_front(handle, arrays, tickets, ticket) -> None:
-    """Write the next block from the front into ``handle`` for each ticket
-    read from ``tickets``, until the pipe ends.
-
-    The write end ``ticket`` is closed first, so the pipe ends once the
-    calling process has closed its end, or died.
-    """
-    ticket.close()
-    start = 0
-    while tickets.read(1):
-        _write_rows(handle, arrays, start, start + _BLOCK_ROWS)
-        start += _BLOCK_ROWS
-    handle.flush()
-
-
-def _write_rows(handle, arrays, start, stop) -> None:
-    """Write rows [start, stop) as ASCII, one ``_BLOCK_ROWS`` block at a time."""
+def _write_rows(handle, arrays) -> None:
+    """Write every row as ASCII, one ``_BLOCK_ROWS`` block at a time."""
     floats = [j for j, array in enumerate(arrays) if array.dtype == float]
-    for block_start in range(start, stop, _BLOCK_ROWS):
+    for block_start in range(0, len(arrays[0]), _BLOCK_ROWS):
         blocks = [array[block_start : block_start + _BLOCK_ROWS] for array in arrays]
         cells = [None if block.dtype == float else block.tolist() for block in blocks]
         if floats:
@@ -233,14 +106,16 @@ def write_b_series(path, times, values) -> Path:
     return _write_table(path, ["t", "B"], [times, values])
 
 
-def write_trajectory(path, field: StateField, stored=None) -> Path:
+def write_trajectory(path, field: StateField) -> Path:
     """Long-format rows (t, a, s, i, r) for every stored time row.
 
-    Times and ages are formatted once each; their cells are repeated down
-    the table.  ``stored``, if given, is the rest of the ``transport._march``
-    generator whose first yield was ``field``: the rows are written while it
-    runs, and an exception it raises removes the file and propagates.
+    s, i and r must each have the shape (times, ages); times and ages are
+    formatted once each, and their cells are repeated down the table.
     """
+    shape = (np.size(field.times), np.size(field.ages))
+    for name in "sir":
+        if np.shape(getattr(field, name)) != shape:
+            raise ShapeError(f"{name} must have the shape (times, ages) = {shape}")
     times = np.array(format17(field.times), dtype=object)
     ages = np.array(format17(field.ages), dtype=object)
     return _write_table(
@@ -253,7 +128,6 @@ def write_trajectory(path, field: StateField, stored=None) -> Path:
             np.ravel(field.i),
             np.ravel(field.r),
         ],
-        None if stored is None else (rows * ages.size for rows in stored),
     )
 
 

@@ -6,14 +6,18 @@ directory:
 
     thresholds      report.txt          R0, RC, dominant growth rate, region
     simulation      initial.csv         the initial fractions on the age grid
-                    trajectory.csv      stored (t, a, s, i, r) rows, about 64
-                                        time rows in a preset
+                    trajectory.csv      stored (t, a, s, i, r) rows: about
+                                        400 ages (every ``n_age // 400``-th
+                                        and the last), and about 64 time
+                                        rows in a preset
                     b_series.csv        the pressure at every time node
     steady states   steady_states.csv   every endemic steady state
     sweep           diagram.csv         the bifurcation diagram of [sweep]
 
 ``run_config`` (and so every preset) runs the first three; the CLI's
-config subcommands each run a fixed subset (see ``cli``).
+config subcommands each run a fixed subset (see ``cli``).  The simulation
+phase runs ``simulate`` to its end and then writes its tables, all in the
+calling process; ``written["_trajectory_object"]`` holds the rows written.
 
 The three constant-rate regimes use the drinking-dynamics magnitudes
 (exit 0.0125, treatment 60, recovery 13, relapse 76.65 per year) with
@@ -26,8 +30,11 @@ relapse rate exceeds transmission over the older age groups.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from . import io
 from .bifurcation import sweep
@@ -38,7 +45,7 @@ from .grids import GridSpec
 from .parameters import ConstantRates, ParameterSet, as_parameter_set
 from .steady import _check_tolerance, find_fixed_points
 from .thresholds import classify
-from .transport import _march, auto_time_steps
+from .transport import StateField, auto_time_steps, simulate
 
 #: the growth-rate equation is solved to max(tol, this)
 _GROWTH_TOL_FLOOR = 1e-9
@@ -116,22 +123,19 @@ def _thresholds(run: _Run):
 
 def _simulation(run: _Run):
     config = run.config
-    ages = config.grid.age_nodes()
+    grid = config.grid
+    ages = grid.age_nodes()
     s0, i0, r0 = config.initial.rows(ages)
     run.written["initial"] = io.write_initial(run.out / "initial.csv", ages, s0, i0, r0)
-    steps = _march(config.params, (s0, i0, r0), config.grid, store=config.stride)
-    field, done = next(steps), []
-
-    def stored():
-        done.append((yield from steps))
-
-    # the trajectory is written while it is simulated
-    run.written["trajectory"] = io.write_trajectory(
-        run.out / "trajectory.csv", field, stored=stored()
-    )
-    trajectory = done[0]
+    trajectory = simulate(config.params, (s0, i0, r0), grid, store=config.stride)
+    # ~400 stored ages so trajectory files stay reviewable
+    keep = np.append(np.arange(0, grid.n_age, max(1, grid.n_age // 400)), grid.n_age)
+    rows = trajectory.field
+    field = StateField(rows.times, ages[keep], rows.s[:, keep], rows.i[:, keep], rows.r[:, keep])
+    trajectory = replace(trajectory, field=field)
+    run.written["trajectory"] = io.write_trajectory(run.out / "trajectory.csv", field)
     run.written["b_series"] = io.write_b_series(
-        run.out / "b_series.csv", config.grid.time_nodes(), trajectory.b_series
+        run.out / "b_series.csv", grid.time_nodes(), trajectory.b_series
     )
     run.written["_trajectory_object"] = trajectory
 

@@ -9,13 +9,13 @@ Each time step advances the interior nodes with the three update formulas
 where D is the backward age difference and B the quadrature of i against
 the mixing density at the current time.  The reaction terms are computed
 once and reused across the three updates, so they cancel exactly in the
-sum s+i+r and conservation holds to roundoff.
+sum s+i+r and conservation holds to roundoff.  ``simulate`` keeps every
+``store``-th time row in memory, the last one always, and returns them
+with the pressure at every time node once the run has ended.
 """
 
 from __future__ import annotations
 
-import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,26 +160,6 @@ def simulate(params, initial, grid: GridSpec, n0=None, store="auto") -> Trajecto
     store: "auto" or a stride int >= 1 controlling rows kept ("full" is
         the same as 1; the final row and every monitor are always exact);
         anything else raises ``ParameterError``.
-
-    The time loop is ``_march``, which also feeds the trajectory writer of
-    ``presets`` while it runs: the stored rows live in an anonymous shared
-    mapping, so a writer forked before a row is stored still reads it.
-    """
-    steps = _march(params, initial, grid, n0, store)
-    while True:
-        try:
-            next(steps)
-        except StopIteration as end:
-            return end.value
-
-
-def _march(params, initial, grid: GridSpec, n0=None, store="auto"):
-    """``simulate`` as a generator; its return value is the ``Trajectory``.
-
-    Every check of ``simulate`` runs before the first ``yield``, which
-    yields the ``StateField``; its s, i and r rows are filled in as the
-    time loop runs.  Each later ``yield`` gives the number of rows stored
-    so far, once that row is stored.
     """
     integer = isinstance(store, (int, np.integer)) and not isinstance(store, bool)
     if not (integer and store >= 1 or store in ("auto", "full")):
@@ -221,12 +201,9 @@ def _march(params, initial, grid: GridSpec, n0=None, store="auto"):
         )
     stride = 1 if store == "full" else int(store)
     kept_j = np.append(np.arange(0, n_time, stride), n_time)
-    shape = (3, kept_j.size, nodes.size)
-    rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    rows = np.empty((3, kept_j.size, nodes.size))
     time_nodes = grid.time_nodes()
-    field = StateField(time_nodes[kept_j], nodes, *rows)
     b_series = np.empty(n_time + 1)
-    yield field
 
     conservation = 0.0
     minimum = np.inf
@@ -256,7 +233,6 @@ def _march(params, initial, grid: GridSpec, n0=None, store="auto"):
         if j % stride == 0 or j == n_time:
             rows[:, n_stored] = state
             n_stored += 1
-            yield n_stored
         if j == n_time:
             break
         state = _step(state, B, dt, da, beta, exit_pressure, rho)
@@ -264,7 +240,7 @@ def _march(params, initial, grid: GridSpec, n0=None, store="auto"):
 
     return Trajectory(
         grid=grid,
-        field=field,
+        field=StateField(time_nodes[kept_j], nodes, *rows),
         b_series=b_series,
         conservation_max=conservation,
         minimum_value=float(minimum),

@@ -558,8 +558,7 @@ def check_against_dense_step_map(monkeypatch, cells, blocks):
 
 def test_the_library_never_prints(capfd, tmp_path, rates_extinction, kernel_extinction):
     """A preset run, a probed sweep and a probe of the infection-free
-    state leave stdout and stderr empty, at the descriptors too, where a
-    forked writer would print."""
+    state leave stdout and stderr empty, at the file descriptors too."""
     from epiage.presets import preset_config, run_config
 
     run_config(preset_config("extinction"), tmp_path)

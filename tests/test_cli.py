@@ -100,27 +100,49 @@ def test_presets_are_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def kept_ages(grid):
+    """The age nodes a run keeps: every ``n_age // 400``-th, and the last."""
+    keep = np.append(np.arange(0, grid.n_age, max(1, grid.n_age // 400)), grid.n_age)
+    return grid.age_nodes()[keep]
+
+
 @pytest.mark.parametrize("name", PRESETS)
 def test_preset_keeps_about_64_time_rows(name, tmp_path):
+    """About 64 time rows and about 400 ages: 401 on every preset grid but
+    ``extinction``'s 201."""
     config = preset_config(name)
     grid = config.grid
     assert config.stride == max(1, grid.n_time // 64)
     written = run_preset(name, tmp_path)
-    times = written["_trajectory_object"].field.times
+    field = written["_trajectory_object"].field
+    times, ages = field.times, field.ages
     assert times.size <= 66
     assert times[0] == 0.0 and times[-1] == grid.time_max
+    assert np.array_equal(ages, kept_ages(grid))
+    assert ages[0] == 0.0 and ages[-1] == grid.age_max
+    assert ages.size == (201 if name == "extinction" else 401)
     with open(written["trajectory"], "rb") as table:
-        assert sum(1 for _ in table) == 1 + times.size * (grid.n_age + 1)
+        assert sum(1 for _ in table) == 1 + times.size * ages.size
 
 
-def test_thinned_preset_rows_are_the_full_runs_rows(tmp_path):
-    written = run_preset("extinction", tmp_path)
-    config = preset_config("extinction")
+@pytest.mark.parametrize("name", ["extinction", "endemic"])
+def test_thinned_preset_rows_are_the_full_runs_rows(name, tmp_path):
+    """The stored (t, a) values are a store=1 run's, bit for bit, and the
+    pressure keeps every time node."""
+    written = run_preset(name, tmp_path)
+    config = preset_config(name)
     initial = config.initial.rows(config.grid.age_nodes())
     full = simulate(config.params, initial, config.grid, store=1)
-    kept = np.searchsorted(full.field.times, written["_trajectory_object"].field.times)
     stored = read_trajectory(written["trajectory"])
-    for name in ("times", "s", "i", "r"):
+    kept = np.ix_(
+        np.searchsorted(full.field.times, stored.times),
+        np.searchsorted(full.field.ages, stored.ages),
+    )
+    assert np.array_equal(stored.ages, kept_ages(config.grid))
+    for name in ("times", "ages"):
+        expected = getattr(written["_trajectory_object"].field, name)
+        assert np.array_equal(getattr(stored, name).view(np.uint64), expected.view(np.uint64))
+    for name in ("s", "i", "r"):
         expected = getattr(full.field, name)[kept]
         got = getattr(stored, name)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), name

@@ -1,11 +1,3 @@
-import mmap
-import os
-import signal
-import subprocess
-import sys
-import time
-from contextlib import contextmanager
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,14 +10,12 @@ from epiage import (
     ConfigError,
     ConstantRates,
     DiagramRow,
-    GridSpec,
     ShapeError,
     StateField,
     SteadyState,
     cosine_bump,
     parse_config,
     render_config,
-    simulate,
 )
 from epiage import io, transport
 from epiage._g17 import format17
@@ -276,15 +266,8 @@ class TestCsvRoundTrip:
         assert "bistable-candidate" in text and "4800" in text
 
 
-def test_every_writer_bytes(tmp_path, monkeypatch):
-    """Exact bytes: header row, CRLF line ends, 17 significant digits.
-
-    Each table here is one block, which is written without forking."""
-
-    def no_fork():
-        raise AssertionError("a one-block table forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+def test_every_writer_bytes(tmp_path):
+    """Exact bytes: header row, CRLF line ends, 17 significant digits."""
     ages = np.array([0.0, 1.0 / 3.0])
     path = write_initial(
         tmp_path / "initial.csv", ages, [1.0, 1e-17], [0.0, -0.0], [0.5, 2.0 / 3.0]
@@ -501,272 +484,67 @@ def five_block_table():
     return header, specs, [list(range(n)), values.tolist(), words]
 
 
-@pytest.mark.parametrize("pinned", [True, False], ids=["one-cpu", "every-cpu"])
-def test_shared_table_bytes(tmp_path, monkeypatch, pinned):
-    """A 5-block table has the bytes of formatting every value by itself,
-    written by this process alone when it may run on one CPU, and shared
-    with one forked front writer otherwise."""
-    mask = os.sched_getaffinity(0)
-    if not pinned and len(mask) < 2:
-        pytest.skip("needs at least 2 CPUs")
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    header, specs, columns = five_block_table()
-    try:
-        if pinned:
-            os.sched_setaffinity(0, {min(mask)})
-        path = io._write_table(tmp_path / "table.csv", header, table_columns(specs, columns))
-    finally:
-        os.sched_setaffinity(0, mask)
-    assert len(forks) == (0 if pinned else 1)
-    assert path.read_bytes() == naive_table(header, specs, columns)
-
-
 def test_failed_writer_raises(tmp_path, monkeypatch):
-    """A forked writer that raises makes the table writer raise OSError
-    naming the file, and leaves no child unreaped."""
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("needs at least 2 CPUs")
-    parent = os.getpid()
-    float_cells = io._float_cells
+    """An exception while formatting a later block propagates as it is,
+    and the partial file is removed."""
+    boom = RuntimeError("formatting failed")
+    calls = []
 
-    def child_fails(blocks):
-        if os.getpid() != parent:
-            raise RuntimeError("formatting failed in a child")
-        return float_cells(blocks)
+    def fails_third(values):
+        calls.append(None)
+        if len(calls) == 3:
+            raise boom
+        return format17(values)
 
-    monkeypatch.setattr(io, "_float_cells", child_fails)
+    monkeypatch.setattr(io, "format17", fails_third)
     header, specs, columns = five_block_table()
-    with pytest.raises(OSError, match="table.csv"):
-        io._write_table(tmp_path / "table.csv", header, table_columns(specs, columns))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def on_cpus(pinned, write):
-    """``write()`` run pinned to one CPU, or on the full CPU mask."""
-    mask = os.sched_getaffinity(0)
-    try:
-        if pinned:
-            os.sched_setaffinity(0, {min(mask)})
-        return write()
-    finally:
-        os.sched_setaffinity(0, mask)
-
-
-def filling(columns, counts):
-    """Float columns in a shared mapping, at first all 7.0 (a value no
-    column holds), and a producer that fills their rows up to each of
-    ``counts`` in turn and yields that count.  It pauses before each fill,
-    so that a writer reading rows before they are published reads 7.0."""
-    values = np.array(columns, dtype=float).reshape(len(columns), -1)
-    shared = np.frombuffer(mmap.mmap(-1, 8 * max(1, values.size)), dtype=float)
-    shared = shared[: values.size].reshape(values.shape)
-    shared[:] = 7.0
-
-    def produce():
-        filled = 0
-        for count in counts:
-            time.sleep(0.001)
-            shared[:, filled:count] = values[:, filled:count]
-            filled = count
-            yield count
-
-    return shared, produce()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    data=st.data(),
-    columns=run_columns(),
-    block_rows=st.integers(1, 9),
-    pinned=st.booleans(),
-)
-def test_streamed_table_bytes(tmp_path_factory, data, columns, block_rows, pinned):
-    """Rows published in uneven, repeated steps, some inside a block, are
-    each read only once published: the bytes are those of formatting
-    every value by itself."""
-    n_rows = len(columns[0])
-    steps = data.draw(st.lists(st.integers(0, n_rows), max_size=12))
-    shared, produce = filling(columns, sorted(steps) + [n_rows])
-    header, specs = [f"x{j}" for j in range(len(columns))], ["%.17g"] * len(columns)
-    path = tmp_path_factory.mktemp("streamed") / "table.csv"
-    with mock.patch("epiage.io._BLOCK_ROWS", block_rows):
-        shared = table_columns(specs, shared)
-        on_cpus(pinned, lambda: io._write_table(path, header, shared, produce))
-    assert path.read_bytes() == naive_table(header, specs, columns)
-
-
-@pytest.mark.parametrize("pinned", [True, False], ids=["one-cpu", "every-cpu"])
-def test_streamed_trajectory_bytes(tmp_path, monkeypatch, pinned):
-    """A trajectory of several blocks written while it is simulated has
-    the bytes of the finished field's; on several CPUs one front writer
-    is forked."""
-    mask = os.sched_getaffinity(0)
-    if not pinned and len(mask) < 2:
-        pytest.skip("needs at least 2 CPUs")
-    rates = ConstantRates(mu=0.0125, beta=60.0, phi=60.0, gamma=13.0, rho=76.65)
-    grid = GridSpec(100.0, 0.5, 400, transport.auto_time_steps(rates, 100.0, 0.5, 400))
-    i0 = cosine_bump(grid.age_nodes(), 0.5, 20.0, 5.0)
-    initial = (1.0 - i0, i0, np.zeros_like(i0))
-    finished = simulate(rates, initial, grid, store=1).field
-    expected = write_trajectory(tmp_path / "finished.csv", finished).read_bytes()
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    steps = transport._march(rates, initial, grid, store=1)
-    field = next(steps)
-    n_blocks = -(-field.s.size // _BLOCK_ROWS)
-    assert n_blocks >= 3
-    path = on_cpus(
-        pinned, lambda: write_trajectory(tmp_path / "streamed.csv", field, stored=steps)
-    )
-    assert path.read_bytes() == expected
-    assert len(forks) == (0 if pinned else 1)
-
-
-@contextmanager
-def hang_fails(seconds=60):
-    """Raise TimeoutError in the body once it has run ``seconds``, so that a
-    writer waiting for a ticket that never comes fails a test rather than
-    hang it."""
-
-    def timeout(signum, frame):
-        raise TimeoutError("the table writers hung")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.mark.parametrize("pinned", [True, False], ids=["one-cpu", "every-cpu"])
-def test_failed_producer_removes_the_table(tmp_path, monkeypatch, pinned):
-    """The producer's own exception propagates, after every forked writer
-    is reaped and the partial file removed.  The producer pauses before it
-    raises, so that on several CPUs the front writer has written the two
-    published blocks and waits for the next one: closing the ticket pipe
-    must end that wait."""
-    mask = os.sched_getaffinity(0)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    header, specs, columns = five_block_table()
-    boom = RuntimeError("positivity lost")
-
-    def producer():
-        yield _BLOCK_ROWS
-        yield 2 * _BLOCK_ROWS
-        time.sleep(0.05)
-        raise boom
-
-    path, columns = tmp_path / "table.csv", table_columns(specs, columns)
-    with pytest.raises(RuntimeError) as err, hang_fails():
-        on_cpus(pinned, lambda: io._write_table(path, header, columns, producer()))
-    assert err.value is boom
-    assert len(forks) == (0 if pinned or len(mask) < 2 else 1)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert not path.exists()
-
-
-def test_killed_front_writer_raises(tmp_path, monkeypatch):
-    """A front writer killed by SIGKILL after its first ticket makes the
-    table writer raise OSError naming the file; the file is removed and
-    the writer reaped."""
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("needs at least 2 CPUs")
-    parent = os.getpid()
-    write_rows = io._write_rows
-
-    def child_dies(*args):
-        write_rows(*args)
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(io, "_write_rows", child_dies)
-    header, specs, columns = five_block_table()
-    n_rows = len(columns[0])
-    # the producer publishes one block at a time, so the front writer
-    # reads the first ticket before the back starts claiming
-    steps = range(_BLOCK_ROWS, n_rows + _BLOCK_ROWS, _BLOCK_ROWS)
-    producer = (min(rows, n_rows) for rows in steps)
     path = tmp_path / "table.csv"
-    with pytest.raises(OSError, match="table.csv"), hang_fails():
-        io._write_table(path, header, table_columns(specs, columns), producer)
+    with pytest.raises(RuntimeError) as err:
+        io._write_table(path, header, table_columns(specs, columns))
+    assert err.value is boom
+    assert len(calls) == 3
     assert not path.exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
-#: writes a 5-block table from a producer that publishes one block and
-#: then sleeps; prints each forked pid
-SLOW_TABLE = """
-import os, sys, time
-from epiage import io
-fork = os.fork
+def test_failed_producer_removes_the_table(tmp_path, monkeypatch):
+    """A simulation that fails mid-run leaves no trajectory.csv or
+    b_series.csv; initial.csv, written before it started, stays."""
+    from epiage import presets
 
-def announce():
-    pid = fork()
-    if pid:
-        print(pid, flush=True)
-    return pid
+    boom = RuntimeError("positivity lost")
+    step = transport._step
+    steps = []
 
-def slow(n_rows):
-    yield io._BLOCK_ROWS
-    time.sleep(120)
-    yield n_rows
+    def fails_tenth(*args):
+        steps.append(None)
+        if len(steps) == 10:
+            raise boom
+        return step(*args)
 
-os.fork = announce
-n_rows = 5 * io._BLOCK_ROWS
-io._write_table(sys.argv[1], ["x"], [[0.5] * n_rows], slow(n_rows))
-"""
-
-
-def exited(pid) -> bool:
-    """Whether process ``pid`` has exited: it is gone, or a zombie."""
-    try:
-        with open(f"/proc/{pid}/stat") as stat:
-            return stat.read().rpartition(")")[2].split()[0] == "Z"
-    except FileNotFoundError:
-        return True
-
-
-def test_front_writer_exits_with_its_parent(tmp_path):
-    """A process killed by SIGKILL mid-table leaves no front writer running:
-    the ticket pipe ends with the parent."""
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("needs at least 2 CPUs")
-    env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
-    writer = subprocess.Popen(
-        [sys.executable, "-c", SLOW_TABLE, str(tmp_path / "table.csv")],
-        stdout=subprocess.PIPE,
-        env=env,
-    )
-    front = None
-    try:
-        front = int(writer.stdout.readline())
-        writer.kill()
-        writer.wait()
-        deadline = time.monotonic() + 5.0
-        while not exited(front) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert exited(front)
-    finally:
-        writer.kill()
-        writer.wait()
-        writer.stdout.close()
-        if front is not None and not exited(front):
-            os.kill(front, signal.SIGKILL)
+    monkeypatch.setattr(transport, "_step", fails_tenth)
+    config = presets.preset_config("extinction")
+    with pytest.raises(RuntimeError) as err:
+        presets._run(config, tmp_path, 1e-10, (presets._simulation,))
+    assert err.value is boom
+    assert {path.name for path in tmp_path.iterdir()} == {"initial.csv"}
 
 
 def test_unequal_columns_rejected(tmp_path):
     with pytest.raises(ShapeError):
         write_b_series(tmp_path / "b.csv", [0.0, 0.5, 1.0], [0.1, 0.2])
+
+
+@pytest.mark.parametrize("name", ["s", "i", "r"])
+def test_trajectory_of_the_wrong_shape_rejected(tmp_path, name):
+    """Rows of (ages x times) values would write well-formed lines that
+    read back as another field; no file is written."""
+    times, ages = np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0])
+    rows = dict.fromkeys("sir", np.zeros((times.size, ages.size)))
+    rows[name] = np.arange(6.0).reshape(ages.size, times.size)
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(ShapeError, match=name):
+        write_trajectory(path, StateField(times, ages, **rows))
+    assert not path.exists()
 
 
 class TestDiagramCsv:

@@ -17,7 +17,7 @@ from epiage import (
     stationary_mixing,
     survival,
 )
-from epiage.transport import _march
+from epiage import transport
 
 
 def stable_grid(params, age_max, time_max, da, safety=0.9):
@@ -273,15 +273,19 @@ class TestSimulate:
         assert traj.b_series.size == grid.n_time + 1
 
     @pytest.mark.parametrize("store", [0, -3, 2.7, True, "every"])
-    def test_store_must_be_a_stride(self, rates_extinction, store):
+    def test_store_must_be_a_stride(self, rates_extinction, store, monkeypatch):
         """Anything but "auto", "full" or an int >= 1 is rejected before the
-        first yield; 0 and -3 used to store every row, 2.7 a stride of 2."""
+        first step; 0 and -3 used to store every row, 2.7 a stride of 2."""
         grid = stable_grid(rates_extinction, 50.0, 1.0, 0.5)
         nodes = grid.age_nodes()
         i0 = cosine_bump(nodes, 0.2, 20.0, 5.0)
-        steps = _march(rates_extinction, (1.0 - i0, i0, np.zeros_like(nodes)), grid, store=store)
-        with pytest.raises(ParameterError):
-            next(steps)
+
+        def no_step(*args):
+            raise AssertionError("stepped before the store check")
+
+        monkeypatch.setattr(transport, "_step", no_step)
+        with pytest.raises(ParameterError, match="store"):
+            simulate(rates_extinction, (1.0 - i0, i0, np.zeros_like(nodes)), grid, store=store)
 
     def test_odd_panel_count_uses_trapezoid_weights(self, rates_extinction):
         # 201 age panels: the pressure quadrature falls back to trapezoid
