@@ -130,8 +130,8 @@ def _simulation(run: _Run):
     trajectory = simulate(config.params, (s0, i0, r0), grid, store=config.stride)
     # ~400 stored ages so trajectory files stay reviewable
     keep = np.append(np.arange(0, grid.n_age, max(1, grid.n_age // 400)), grid.n_age)
-    rows = trajectory.field
-    field = StateField(rows.times, ages[keep], rows.s[:, keep], rows.i[:, keep], rows.r[:, keep])
+    full = trajectory.field
+    field = StateField(full.times, ages[keep], full.s[:, keep], full.i[:, keep], full.r[:, keep])
     trajectory = replace(trajectory, field=field)
     run.written["trajectory"] = io.write_trajectory(run.out / "trajectory.csv", field)
     run.written["b_series"] = io.write_b_series(

@@ -138,14 +138,13 @@ def test_thinned_preset_rows_are_the_full_runs_rows(name, tmp_path):
         np.searchsorted(full.field.times, stored.times),
         np.searchsorted(full.field.ages, stored.ages),
     )
+    field = written["_trajectory_object"].field
     assert np.array_equal(stored.ages, kept_ages(config.grid))
-    for name in ("times", "ages"):
-        expected = getattr(written["_trajectory_object"].field, name)
-        assert np.array_equal(getattr(stored, name).view(np.uint64), expected.view(np.uint64))
-    for name in ("s", "i", "r"):
-        expected = getattr(full.field, name)[kept]
-        got = getattr(stored, name)
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), name
+    assert np.array_equal(stored.times, field.times) and np.array_equal(stored.ages, field.ages)
+    for column in ("s", "i", "r"):
+        expected = getattr(full.field, column)[kept]
+        got = getattr(stored, column)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), column
     lines = written["b_series"].read_text().splitlines()[1:]
     b_series = np.array([float(line.split(",")[1]) for line in lines])
     assert np.array_equal(b_series.view(np.uint64), full.b_series.view(np.uint64))
