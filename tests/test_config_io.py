@@ -1,3 +1,4 @@
+import os
 from unittest import mock
 
 import numpy as np
@@ -506,11 +507,18 @@ def test_failed_writer_raises(tmp_path, monkeypatch):
     assert not path.exists()
 
 
-def test_failed_producer_removes_the_table(tmp_path, monkeypatch):
+@pytest.mark.parametrize("pinned", [True, False], ids=["one-cpu", "every-cpu"])
+def test_failed_producer_removes_the_table(tmp_path, monkeypatch, pinned):
     """A simulation that fails mid-run leaves no trajectory.csv or
-    b_series.csv; initial.csv, written before it started, stays."""
+    b_series.csv; initial.csv, written before it started, stays.  It is so
+    whether the run may use one CPU or all of them, and no process is forked
+    on either mask: this process writes every table."""
     from epiage import presets
 
+    mask = os.sched_getaffinity(0)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
     boom = RuntimeError("positivity lost")
     step = transport._step
     steps = []
@@ -523,9 +531,15 @@ def test_failed_producer_removes_the_table(tmp_path, monkeypatch):
 
     monkeypatch.setattr(transport, "_step", fails_tenth)
     config = presets.preset_config("extinction")
-    with pytest.raises(RuntimeError) as err:
-        presets._run(config, tmp_path, 1e-10, (presets._simulation,))
+    try:
+        if pinned:
+            os.sched_setaffinity(0, {min(mask)})
+        with pytest.raises(RuntimeError) as err:
+            presets._run(config, tmp_path, 1e-10, (presets._simulation,))
+    finally:
+        os.sched_setaffinity(0, mask)
     assert err.value is boom
+    assert not forks
     assert {path.name for path in tmp_path.iterdir()} == {"initial.csv"}
 
 
