@@ -31,7 +31,7 @@ out = Path(__file__).with_name("diagram.csv")
 write_diagram(out, rows, ages=np.linspace(0.0, 100.0, 201))
 print(f"\nwrote {out}")
 
-print("\nstability of the two branches at beta = 60 (eigenvalues of the linearised upwind step):")
+print("\nstability of the two branches at beta = 60 (zeros of the linearised model's characteristic function):")
 probed = sweep(base, "beta", [60.0], probe=True)
 for branch in probed[0].branches:
     print(f"  B* = {branch.b_star:.6g}: {branch.stability}")

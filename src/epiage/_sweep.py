@@ -14,9 +14,14 @@ psi_{m-1}(x) = (1 - x psi_m(x)) / m the other three; away from 0 the
 recurrence runs upward from psi_0 = -expm1(-x) / x.  All four are within
 4 ulp relative on either side of the switch.
 
-The recurrence is accumulated in log space (running logsumexp), so decay
-exponents of any magnitude are handled without over/underflow, and the
-scheme is exact when K is constant per cell and g is a cubic there.
+A real recurrence is accumulated in log space (running logsumexp), so
+decay exponents of any magnitude are handled without over/underflow, and
+the scheme is exact when K is constant per cell and g is a cubic there.
+A complex decay, K + i omega with K >= 0, has every cell factor e^{-z_k}
+of modulus at most 1, and its recurrence is taken by pairwise reduction
+(``_linear_recurrence``); its psi_m switch by |x|.  A backward sweep
+solves -r'(a) = g(a) - K(a) r(a) with r = 0 at the last node, as the
+forward sweep of the mirrored problem.
 """
 
 from __future__ import annotations
@@ -51,11 +56,17 @@ def _psi(x):
     On ``_SERIES_RANGE`` the Taylor series gives psi_3, and the exact
     identity psi_{m-1}(x) = (1 - x psi_m(x)) / m (integration by parts)
     run downward gives psi_2, psi_1 and psi_0.  Elsewhere psi_0 =
-    -expm1(-x) / x and the same identity runs upward.
+    -expm1(-x) / x and the same identity runs upward.  A complex x takes
+    the series where |x| <= 2.25, the series range's upper end: there the
+    first omitted term is below 6e-21, and past it each upward step
+    scales an error by m / |x| < 4/3.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((4,) + x.shape)
-    small = (x >= _SERIES_RANGE[0]) & (x <= _SERIES_RANGE[1])
+    x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
+    out = np.empty((4,) + x.shape, dtype=x.dtype)
+    if x.dtype == complex:
+        small = np.abs(x) <= _SERIES_RANGE[1]
+    else:
+        small = (x >= _SERIES_RANGE[0]) & (x <= _SERIES_RANGE[1])
     if np.any(small):
         xs = x[small]
         acc = np.full_like(xs, _PSI3_COEFF[-1])
@@ -109,6 +120,34 @@ def cell_sources(nodes, psi, stage_g, decay_nodes):
         )
 
 
+def _linear_recurrence(a, b):
+    """y_k = a_k y_{k-1} + b_k from y_{-1} = 0 along the last axis, for
+    factors with every |a_k| <= 1.
+
+    Pairwise reduction: each pair of steps (2k, 2k+1) is one step with
+    factor a_{2k+1} a_{2k} and increment a_{2k+1} b_{2k} + b_{2k+1}, which
+    gives y at the odd positions by recursion on half the length, and one
+    step from those gives y at the even ones.  An odd length is padded
+    with a = 1 and b = 0.  Products of factors only shrink in modulus, so
+    none overflows, and one that underflows to 0 cuts the chain, which is
+    its limit; so no factor is too small, and the work is linear in the
+    length.
+    """
+    n = b.shape[-1]
+    if n == 1:
+        return b.copy()
+    if n % 2:
+        a = np.concatenate([a, np.ones(a.shape[:-1] + (1,))], axis=-1)
+        b = np.concatenate([b, np.zeros(b.shape[:-1] + (1,))], axis=-1)
+    a_even, a_odd, b_even, b_odd = a[..., 0::2], a[..., 1::2], b[..., 0::2], b[..., 1::2]
+    odd = _linear_recurrence(a_odd * a_even, a_odd * b_even + b_odd)
+    y = np.empty(b.shape, dtype=np.result_type(a, b))
+    y[..., 1::2] = odd
+    y[..., 0] = b_even[..., 0]
+    y[..., 2::2] = a_even[..., 1:] * odd[..., :-1] + b_even[..., 1:]
+    return y[..., :n]
+
+
 def propagate(q, psi):
     """Accumulate r_{k+1} = e^{-(psi_{k+1}-psi_k)} r_k + q_k with r_0 = 0.
 
@@ -117,8 +156,12 @@ def propagate(q, psi):
     Returns r at the nodes, shape (..., n).  May contain inf when the decay
     exponent grows without bound (negative K), and nan from a nan increment
     on, as ``cell_sources`` gives where such growth overflows to inf * 0;
-    callers decide how to treat non-finite output.
+    callers decide how to treat non-finite output.  A complex psi, whose
+    real part must not fall, takes ``_linear_recurrence``.
     """
+    if np.iscomplexobj(psi):
+        r_tail = _linear_recurrence(np.exp(-np.diff(psi, axis=-1)), q)
+        return np.concatenate([np.zeros(r_tail.shape[:-1] + (1,)), r_tail], axis=-1)
     q = np.asarray(q, dtype=float)
     psi_right = psi[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -135,6 +178,16 @@ def propagate(q, psi):
     return np.concatenate([zeros, r_tail], axis=-1)
 
 
-def exp_sweep(nodes, psi, stage_g, decay_nodes):
-    """Solution values of r' = g - K r, r(0) = 0, at the nodes."""
-    return propagate(cell_sources(nodes, psi, stage_g, decay_nodes), psi)
+def exp_sweep(nodes, psi, stage_g, decay_nodes, backward=False):
+    """Solution values of r' = g - K r, r(0) = 0, at the nodes; with
+    ``backward``, of -r' = g - K r with r = 0 at the last node.
+
+    The backward sweep runs forward over the mirrored nodes -nodes[::-1]:
+    every cell keeps its width and its decay exponent, and its stages and
+    node samples are taken in reverse.
+    """
+    if backward:
+        nodes, psi = -nodes[::-1], -psi[..., ::-1]
+        stage_g, decay_nodes = stage_g[..., ::-1, ::-1], decay_nodes[..., ::-1]
+    r = propagate(cell_sources(nodes, psi, stage_g, decay_nodes), psi)
+    return r[..., ::-1] if backward else r

@@ -75,7 +75,8 @@ def fixed_points_exact(rates: ConstantRates) -> list:
     c = mu (mu+phi+gamma-beta).  With q = -(b + sign(b) sqrt(b^2 - 4ac))/2
     the roots are c/q and q/a, which lose no digits to cancellation (the
     bistable regimes have roots ~60x apart).  Where a = 0, c/q = -c/b is
-    the linear root and q/a is infinite or nan, which the filter drops.
+    the linear root and q/a is infinite or nan, which the filter drops;
+    so is q/a where a subnormal a makes it overflow.
     """
     mu, beta, rho = rates.mu, rates.beta, rates.rho
     a = beta * rho
@@ -87,7 +88,7 @@ def fixed_points_exact(rates: ConstantRates) -> list:
     if disc < 0:
         return []
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         roots = np.divide([c, q], [q, a])
     return sorted(float(x) for x in roots if 0.0 < x < 1.0)
 

@@ -133,6 +133,7 @@ def _simulation(run: _Run):
     full = trajectory.field
     field = StateField(full.times, ages[keep], full.s[:, keep], full.i[:, keep], full.r[:, keep])
     trajectory = replace(trajectory, field=field)
+    del full  # every stored age: freed before the tables are written
     run.written["trajectory"] = io.write_trajectory(run.out / "trajectory.csv", field)
     run.written["b_series"] = io.write_b_series(
         run.out / "b_series.csv", grid.time_nodes(), trajectory.b_series

@@ -147,6 +147,12 @@ class TestQuadraticFixedPoints:
     def test_extinction_set_no_roots(self, rates_extinction):
         assert fixed_points_exact(rates_extinction) == []
 
+    def test_subnormal_relapse(self):
+        """a = beta rho is subnormal: q / a overflows to inf, which the
+        filter drops without a RuntimeWarning."""
+        rates = ConstantRates(mu=0.5, beta=1.0, phi=0.0, gamma=2.0, rho=1.1125369292536007e-308)
+        assert fixed_points_exact(rates) == []
+
     def test_endemic_set_single_root(self, rates_endemic):
         roots = fixed_points_exact(rates_endemic)
         assert len(roots) == 1

@@ -6,7 +6,8 @@ stationary mixing density and with one rebuilt from a random initial
 population ``n0``.  A grid the gate rejects is rejected by ``simulate``.
 A trajectory written to CSV reads back bit for bit, and its bytes are
 those of formatting every value by itself.  The stage integrals psi_m of
-the exponential sweep are correct to a few ulp on both branches.  The
+the exponential sweep are correct to a few ulp on both branches, for a
+real x and for a complex one with Re x >= 0.  The
 numpy formatter behind the CSV writer gives the ASCII bytes of
 ``'%.17g' %`` on raw bit patterns, on powers of ten and their neighbours,
 and on exact and near ties of the 18th digit.
@@ -24,7 +25,9 @@ one, and the sign of the growth rate is the sign of R0 - 1; the growth
 rate solves the converged growth equation to tol.  The root finder
 behind both pressure grids finds a close root pair between two samples,
 none where the maximum stays below 0, and an exact zero at a sample
-once.
+once.  On constant rates, the stability tag of every steady state is
+"unstable" exactly where the untruncated model's characteristic function,
+a rational function of lam, has a zero with Re lam > 0.
 """
 
 import math
@@ -46,6 +49,7 @@ from epiage import (
     ParameterSet,
     RunConfig,
     StateField,
+    SteadyState,
     TimeStepError,
     ToleranceError,
     amplification,
@@ -54,6 +58,7 @@ from epiage import (
     closed_form_profiles,
     euler_lotka,
     find_fixed_points,
+    fixed_points_exact,
     induced_pressure,
     infected_profile,
     parse_config,
@@ -61,6 +66,7 @@ from epiage import (
     recovered_profile,
     render_config,
     simulate,
+    stability_probe,
     stable_timestep,
 )
 from epiage import _g17, steady
@@ -225,6 +231,40 @@ def test_psi_within_4_ulp_of_series_reference(x):
     for m in range(4):
         exact = psi_reference(x, m)
         assert abs(Decimal(values[m]) - exact) <= 4 * Decimal(sys.float_info.epsilon) * exact, m
+
+
+def complex_psi_reference(x, m):
+    """psi_m(x) of a complex x from the series sum_j (-x)^j m!/(m+j+1)!,
+    summed in 80-digit decimals, real and imaginary parts apart."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        minus = (-Decimal(x.real), -Decimal(x.imag))
+        power, weight = (Decimal(1), Decimal(0)), Decimal(math.factorial(m)) / math.factorial(m + 1)
+        total, j = (Decimal(0), Decimal(0)), 0
+        while True:
+            term = (power[0] * weight, power[1] * weight)
+            total = (total[0] + term[0], total[1] + term[1])
+            power = (power[0] * minus[0] - power[1] * minus[1],
+                     power[0] * minus[1] + power[1] * minus[0])
+            j += 1
+            weight /= m + j + 1
+            if j > abs(x) and abs(term[0]) + abs(term[1]) < Decimal("1e-40"):
+                return complex(float(total[0]), float(total[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    radius=st.floats(0.0, 60.0) | st.floats(HI - 0.1, HI + 0.1) | st.floats(0.0, 1e-3),
+    angle=st.floats(-math.pi / 2, math.pi / 2),
+)
+def test_complex_psi_within_4_ulp_of_series_reference(radius, angle):
+    """A complex sweep's decay has Re x >= 0: on either side of the switch
+    at |x| = 2.25, psi_m is within 4 ulp relative of the series."""
+    x = complex(radius * math.cos(angle), radius * math.sin(angle))
+    values = _psi(np.array([x]))[:, 0]
+    for m in range(4):
+        exact = complex_psi_reference(x, m)
+        assert abs(values[m] - exact) <= 4 * sys.float_info.epsilon * abs(exact), m
 
 
 def printf_g17(values):
@@ -432,6 +472,56 @@ def test_root_parity_matches_the_region(mu, beta, phi, gamma, rho):
     assert len(states) % 2 == (1 if r0 > 1.0 else 0)
 
 
+#: states whose characteristic function has a zero within this distance
+#: of the imaginary axis (per year) are skipped: a fold puts one at 0, a
+#: Hopf point one on the axis, where a count on the truncated domain
+#: cannot decide
+AXIS_MARGIN = 1e-3
+
+
+def unstable_zeros(rates, B):
+    """Zeros with Re lam > 0 of Delta on the untruncated model, and their
+    least distance to the imaginary axis.  With P = mu + beta B and Q = mu
+    + phi + gamma + rho B, Delta is N(lam) / (P Q (lam + P) (lam + Q)), whose
+    poles lie at -P and -Q, and N is the quadratic
+    P Q (lam + P)(lam + Q) - mu beta Q (lam + mu + rho B) - rho e c (lam + P)
+    with e = phi + gamma and c = beta B."""
+    mu, beta, e, rho = rates.mu, rates.beta, rates.exit_pressure, rates.rho
+    c = beta * B
+    P, Q = mu + c, mu + e + rho * B
+    roots = np.roots([
+        P * Q,
+        P * Q * (P + Q) - mu * beta * Q - rho * e * c,
+        P * P * Q * Q - mu * beta * Q * (mu + rho * B) - rho * e * c * P,
+    ])
+    return int(np.sum(roots.real > 0.0)), float(np.min(np.abs(roots.real)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rates=st.builds(
+    dict,
+    mu=st.floats(1e-3, 0.5),
+    beta=st.floats(0.0, 200.0, exclude_min=True),
+    phi=st.floats(0.0, 100.0),
+    gamma=st.floats(0.0, 100.0),
+    rho=st.floats(0.0, 200.0),
+))
+def test_count_matches_the_rational_characteristic_function(rates):
+    """On constant rates the zeros of Delta with Re lam > 0 are those of a
+    quadratic: ``stability_probe`` says "unstable" exactly where it has
+    one, at the infection-free state and at every endemic state, away from
+    the imaginary axis."""
+    assume(rates["phi"] + rates["gamma"] + rates["rho"] > 0.0)
+    rates = ConstantRates(**rates)
+    ages = analysis_kernel(rates).ages
+    for B in [0.0] + fixed_points_exact(rates):
+        count, nearest = unstable_zeros(rates, B)
+        if nearest < AXIS_MARGIN:
+            continue
+        state = SteadyState(B, ages, *closed_form_profiles(B, rates, ages), residual=0.0)
+        assert stability_probe(rates, state) == ("unstable" if count else "stable"), B
+
+
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
@@ -592,6 +682,31 @@ def test_growth_rate_of_a_tiny_beta():
     kernel = analysis_kernel(params)
     assert truncated_root_below_abscissa(params, kernel)
     assert classify(params, kernel, tol=GROWTH_TOL).growth_rate < 0.0
+
+
+@pytest.mark.xfail(
+    raises=ToleranceError, strict=True,
+    reason="FOUND: classify raises ToleranceError on a subnormal transmission rate "
+    "although the growth root lies above the abscissa",
+)
+@pytest.mark.parametrize(
+    "rates",
+    [
+        dict(phi=[(32.0, 0.0), (35.0, 54.0)], rho=1.0),
+        dict(phi=[(34.0, 0.0), (35.0, 53.0)], rho=0.0, contact=3.0),
+    ],
+    ids=["quadrature-refinement", "root-search"],
+)
+def test_growth_rate_of_a_subnormal_beta(rates):
+    """Two draws of the converged-growth-equation property, at mu 0.001,
+    beta 5e-324 and gamma 0: G at the abscissa is inf, so the growth root
+    lies above it, yet ``classify`` stalls, in the quadrature's refinement
+    for the first and in the root search for the second."""
+    params = ParameterSet(mu=0.001, beta=5e-324, gamma=0.0, **rates)
+    kernel = analysis_kernel(params)
+    assert not truncated_root_below_abscissa(params, kernel)
+    lam = classify(params, kernel, tol=GROWTH_TOL).growth_rate
+    assert abs(euler_lotka(lam, params, kernel) - 1.0) <= GROWTH_TOL
 
 
 def test_growth_rate_where_the_changes_are_rounding_noise():

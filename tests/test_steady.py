@@ -40,6 +40,32 @@ def count_sweeps(monkeypatch):
     return calls
 
 
+class TestBackwardSweep:
+    def test_complex_decay_against_the_closed_form(self):
+        """-Z' = p - K Z from Z(A) = 0 with p and K = kappa + i omega
+        constant: Z(a) = p (1 - e^(-K (A - a))) / K, on a graded grid, for
+        a batch of omega at once."""
+        grid = grids.QuadratureGrid.graded(50.0, 0.01, knots=[3.0])
+        nodes, kappa = grid.nodes, 2.0
+        omega = np.array([0.0, 0.3, 7.0, 200.0])[:, None]
+        decay = kappa + 1j * omega
+        stage = np.full((nodes.size - 1, 4), 0.7)
+        Z = _sweep.exp_sweep(nodes, decay * nodes, stage, np.full(nodes.size, kappa), backward=True)
+        expected = 0.7 * -np.expm1(-decay * (nodes[-1] - nodes)) / decay
+        assert np.max(np.abs(Z - expected)) <= 1e-14
+
+    def test_real_backward_sweep_is_the_mirrored_forward_sweep(self, rates_bistable):
+        """A backward sweep is the forward sweep on -nodes[::-1], bit for bit."""
+        params = as_parameter_set(rates_bistable)
+        nodes = np.linspace(0.0, 20.0, 401)
+        stages = grids.cell_stages(nodes)
+        psi = params.exit_pressure().cumulative(nodes)
+        source, decay = params.beta(stages), params.exit_pressure()(nodes)
+        backward = _sweep.exp_sweep(nodes, psi, source, decay, backward=True)
+        mirrored = _sweep.exp_sweep(-nodes[::-1], -psi[::-1], source[::-1, ::-1], decay[::-1])
+        assert np.array_equal(backward, mirrored[::-1])
+
+
 class TestProfiles:
     def test_susceptible_no_pressure(self, rates_bistable):
         ages = np.linspace(0, 50, 11)

@@ -287,6 +287,44 @@ class TestSimulate:
         with pytest.raises(ParameterError, match="store"):
             simulate(rates_extinction, (1.0 - i0, i0, np.zeros_like(nodes)), grid, store=store)
 
+    def test_positivity_lost_mid_run(self, rates_extinction, monkeypatch):
+        """A step that leaves r = -1e-9 at age node 7 stops the run at the
+        next monitor: time node 3, the row's letter in the message, and the
+        gate's largest safe dt as the suggestion."""
+        grid = stable_grid(rates_extinction, 50.0, 1.0, 0.5)
+        nodes = grid.age_nodes()
+        i0 = cosine_bump(nodes, 0.2, 20.0, 5.0)
+        step, calls = transport._step, []
+
+        def leaky(*args):
+            new = step(*args)
+            calls.append(None)
+            if len(calls) == 3:
+                new[2, 7] = -1e-9
+            return new
+
+        monkeypatch.setattr(transport, "_step", leaky)
+        with pytest.raises(TimeStepError, match=r"\(r = -1e-09\)") as err:
+            simulate(rates_extinction, (1.0 - i0, i0, np.zeros_like(nodes)), grid)
+        assert err.value.node == (3, 7)
+        assert "step 3, age node 7" in str(err.value)
+        assert err.value.suggested_dt == stable_timestep(rates_extinction, grid).dt_max
+        assert len(calls) == 3
+
+    def test_monitors_are_those_of_the_stored_rows(self):
+        """With every row stored, on the ``extinction`` preset's config,
+        conservation_max is max |s + i + r - 1| over the rows and
+        minimum_value their minimum, bit for bit."""
+        from epiage.presets import preset_config
+
+        config = preset_config("extinction")
+        nodes = config.grid.age_nodes()
+        traj = simulate(config.params, config.initial.rows(nodes), config.grid, store=1)
+        field = traj.field
+        assert field.times.size == config.grid.n_time + 1
+        assert traj.conservation_max == np.max(np.abs(field.s + field.i + field.r - 1.0))
+        assert traj.minimum_value == min(field.s.min(), field.i.min(), field.r.min())
+
     def test_odd_panel_count_uses_trapezoid_weights(self, rates_extinction):
         # 201 age panels: the pressure quadrature falls back to trapezoid
         grid = GridSpec(100.0, 1.0, 201, round(1.0 / 0.004))
